@@ -68,6 +68,7 @@ from .moments import (
     dispersions,
     freq_moment,
     moment_report,
+    moment_reports,
     price_moment,
     return_moment,
     return_series,

@@ -3,18 +3,14 @@ contrast.
 
 All numeric output uses 17 significant digits, so repeated identical
 invocations produce byte-identical reports.  Exit status: 0 on success,
-1 on validation/data failure, 2 on usage errors.  ``VAWAR_THREADS``
-(an integer >= 1) parallelizes window and pair sweeps; output order is
-by window index regardless.
+1 on validation/data failure, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import charfn
 from .correlations import (
@@ -27,7 +23,7 @@ from .errors import VawarError
 from .moments import (
     DEFAULT_ORDER_CAP,
     MomentReport,
-    moment_report,
+    moment_reports,
     return_moment,
 )
 from .reportio import SCHEMA_VERSION, dumps_json, write_csv_rows
@@ -52,20 +48,20 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _thread_count():
-    raw = os.environ.get("VAWAR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _int_at_least(lo):
+    # argparse type: an integer >= lo, else a usage error (exit 2)
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
 
 
 def _read_text(path):
@@ -83,15 +79,18 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _value_format(args, text):
+    # --values, with auto decided by a "value" column in the header
+    if args.values == "auto":
+        header = text.splitlines()[0] if text else ""
+        return WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
+    return WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
+
+
 def _load_tape(args):
     text = _read_text(args.input)
     epsilon = args.epsilon if args.epsilon is not None else infer_epsilon(text)
-    if args.values == "auto":
-        header = text.splitlines()[0] if text else ""
-        fmt = WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
-    else:
-        fmt = WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
-    return ingest(text, value_format=fmt, epsilon=epsilon), epsilon
+    return ingest(text, value_format=_value_format(args, text), epsilon=epsilon), epsilon
 
 
 def _add_input_args(sub):
@@ -112,7 +111,7 @@ def _add_window_args(sub, lag_required=True):
                      help="ticks per window (the 'trading day' size)")
     sub.add_argument("--start", type=int, required=True,
                      help="first tick index of the window")
-    sub.add_argument("--lag", type=int, required=lag_required, default=1,
+    sub.add_argument("--lag", type=_POSITIVE, required=lag_required, default=1,
                      metavar="L", help="return lag in ticks (tau = epsilon*L)")
 
 
@@ -136,12 +135,7 @@ def _cmd_validate(args):
     }
     status = 0
     try:
-        if args.values == "auto":
-            header = text.splitlines()[0] if text else ""
-            fmt = WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
-        else:
-            fmt = WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
-        tape = ingest(text, value_format=fmt, epsilon=epsilon)
+        tape = ingest(text, value_format=_value_format(args, text), epsilon=epsilon)
         report["ticks"] = len(tape)
     except VawarError as exc:
         report["valid"] = False
@@ -151,27 +145,10 @@ def _cmd_validate(args):
     return status
 
 
-def _window_starts(args, tape_len):
-    starts = [args.start]
-    if args.stride:
-        s = args.start + args.stride
-        while s + args.window <= tape_len:
-            starts.append(s)
-            s += args.stride
-    return starts
-
-
 def _cmd_stats(args):
     tape, _ = _load_tape(args)
-    starts = _window_starts(args, len(tape))
-
-    def one(start):
-        window = resolve(tape, WindowSpec(start, args.window),
-                         LagSpec(lag_l=args.lag))
-        return moment_report(window, args.lag, order_max=args.order,
-                             order_cap=args.order_cap)
-
-    reports = _map_ordered(one, starts)
+    reports = moment_reports(tape, WindowSpec(args.start, args.window), args.lag,
+                             args.order, args.stride, args.order_cap)
     if args.format == JSON:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -212,57 +189,35 @@ def _emit_sweep(args, subcommand, rows):
         _write_text(args.out, sink.getvalue())
 
 
-def _cmd_acorr(args):
+def _shift_rows(args, stats):
+    """Sweep rows for pair shifts j = 0..--max-shift; ``stats(pair)`` lists
+    (n, m, statistic, value_form, price_form, definitional) per statistic."""
     tape, _ = _load_tape(args)
     lag2 = args.lag2 if args.lag2 is not None else args.lag
     window = WindowSpec(args.start, args.window)
+    return [dict(zip(_SWEEP_COLUMNS, (j, args.lag, lag2, *stat)))
+            for j in range(args.max_shift + 1)
+            for stat in stats(pair_windows(tape, window, args.lag, lag2, shift_j=j))]
 
-    def one(j):
-        pair = pair_windows(tape, window, args.lag, lag2, shift_j=j)
+
+def _cmd_acorr(args):
+    def stats(pair):
         ac = return_autocorr(pair)
-        return {
-            "j": j, "l1": args.lag, "l2": lag2, "n": 1, "m": 1,
-            "statistic": "corr_r",
-            "value_form": ac.value_form,
-            "price_form": ac.price_form,
-            "definitional": ac.definitional,
-        }
+        return [(1, 1, "corr_r", ac.value_form, ac.price_form, ac.definitional)]
 
-    rows = _map_ordered(one, range(args.max_shift + 1))
-    _emit_sweep(args, "acorr", rows)
+    _emit_sweep(args, "acorr", _shift_rows(args, stats))
     return 0
 
 
 def _cmd_xcorr(args):
-    tape, _ = _load_tape(args)
-    lag2 = args.lag2 if args.lag2 is not None else args.lag
-    window = WindowSpec(args.start, args.window)
-
-    def one(j):
-        pair = pair_windows(tape, window, args.lag, lag2, shift_j=j)
+    def stats(pair):
         ru = return_volume_corr(pair)
         rp = return_price_corr(pair, n=args.degree_n, m=args.degree_m)
-        return [
-            {
-                "j": j, "l1": args.lag, "l2": lag2, "n": 1, "m": 1,
-                "statistic": "corr_rU",
-                "value_form": ru.closed_form,
-                "price_form": ru.closed_form_prices,
-                "definitional": ru.definitional,
-            },
-            {
-                "j": j, "l1": args.lag, "l2": lag2,
-                "n": args.degree_n, "m": args.degree_m,
-                "statistic": "corr_rp",
-                "value_form": rp.closed_form,
-                "price_form": None,
-                "definitional": rp.definitional,
-            },
-        ]
+        return [(1, 1, "corr_rU", ru.closed_form, ru.closed_form_prices, ru.definitional),
+                (args.degree_n, args.degree_m, "corr_rp", rp.closed_form, None,
+                 rp.definitional)]
 
-    rows = [row for pair_rows in _map_ordered(one, range(args.max_shift + 1))
-            for row in pair_rows]
-    _emit_sweep(args, "xcorr", rows)
+    _emit_sweep(args, "xcorr", _shift_rows(args, stats))
     return 0
 
 
@@ -348,9 +303,9 @@ def build_parser():
     p = sub.add_parser("stats", help="per-window moment report")
     _add_input_args(p)
     _add_window_args(p)
-    p.add_argument("--stride", type=int, default=0,
+    p.add_argument("--stride", type=_NON_NEGATIVE, default=0,
                    help="sweep window start by this stride (0: single window)")
-    p.add_argument("--order", type=int, default=2, metavar="M",
+    p.add_argument("--order", type=_POSITIVE, default=2, metavar="M",
                    help="highest moment order (default 2)")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
                    help="warn when an order exceeds this cap (default 8)")
@@ -360,9 +315,9 @@ def build_parser():
     p = sub.add_parser("acorr", help="return autocorrelation vs pair shift")
     _add_input_args(p)
     _add_window_args(p)
-    p.add_argument("--lag2", type=int, default=None,
+    p.add_argument("--lag2", type=_POSITIVE, default=None,
                    help="second window's return lag (default: --lag)")
-    p.add_argument("--max-shift", type=int, default=0, metavar="J",
+    p.add_argument("--max-shift", type=_NON_NEGATIVE, default=0, metavar="J",
                    help="sweep pair shift j = 0..J")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_acorr)
@@ -371,11 +326,11 @@ def build_parser():
                        help="return-volume and return-price correlations")
     _add_input_args(p)
     _add_window_args(p)
-    p.add_argument("--lag2", type=int, default=None)
-    p.add_argument("--max-shift", type=int, default=0, metavar="J")
-    p.add_argument("--degree-n", type=int, default=1,
+    p.add_argument("--lag2", type=_POSITIVE, default=None)
+    p.add_argument("--max-shift", type=_NON_NEGATIVE, default=0, metavar="J")
+    p.add_argument("--degree-n", type=_POSITIVE, default=1,
                    help="return degree n for corr_rp")
-    p.add_argument("--degree-m", type=int, default=1,
+    p.add_argument("--degree-m", type=_POSITIVE, default=1,
                    help="price degree m for corr_rp")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_xcorr)
@@ -384,7 +339,7 @@ def build_parser():
                        help="fit Q_m to window return moments and invert")
     _add_input_args(p)
     _add_window_args(p)
-    p.add_argument("--order", type=int, default=2, metavar="M")
+    p.add_argument("--order", type=_POSITIVE, default=2, metavar="M")
     p.add_argument("--damping-b", type=float, default=None)
     p.add_argument("--damping-q", type=int, default=None)
     p.add_argument("--grid-min", type=float, default=None)

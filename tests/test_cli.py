@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from vawar import schemas
-from vawar.cli import main
+from vawar.cli import build_parser, main
+from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, generate
+from vawar.tape import write_csv
 
 from conftest import FIXTURE_CSV
 
@@ -14,6 +16,14 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _report_texts(out):
+    """The serialized text of each report in a stats JSON document."""
+    lines = out.splitlines()
+    opens = [k for k, line in enumerate(lines) if line == "    {"]
+    closes = [k for k, line in enumerate(lines) if line in ("    }", "    },")]
+    return ["\n".join(lines[a + 1:b]) for a, b in zip(opens, closes)]
 
 
 class TestValidate:
@@ -110,14 +120,27 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch,
-                                                fixture_csv):
-        argv = ("acorr", str(fixture_csv), "--window", "2", "--start", "2",
-                "--lag", "1", "--max-shift", "1", "--format", "csv")
-        _, out1, _ = run(capsys, *argv)
-        monkeypatch.setenv("VAWAR_THREADS", "4")
-        _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+    @pytest.mark.parametrize("stride", [1, 13])
+    def test_sweep_reports_match_single_window_runs(self, capsys, tmp_path,
+                                                    stride):
+        # each report of a swept run has the bytes of a run on its window alone
+        path = tmp_path / "tape.csv"
+        tape = generate(GenConfig(
+            ticks=60, seed=11, price=WalkPrice(start=80.0, log_vol=0.05),
+            volume=HeavyTailVolume(base=20.0, shape=1.8),
+        ))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(tape, fh)
+        common = ("--window", "12", "--lag", "2", "--order", "5")
+        _, out, _ = run(capsys, "stats", str(path), "--start", "2",
+                        "--stride", str(stride), *common)
+        starts = range(2, 60 - 12 + 1, stride)
+        sweep = _report_texts(out)
+        assert len(sweep) == len(starts) > 1
+        for start, text in zip(starts, sweep):
+            _, single, _ = run(capsys, "stats", str(path), "--start", str(start),
+                               *common)
+            assert _report_texts(single) == [text]
 
     def test_simulate_byte_identical(self, capsys, tmp_path):
         cfg = tmp_path / "gen.json"
@@ -129,6 +152,58 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "simulate", "--config", str(cfg))
         _, out2, _ = run(capsys, "simulate", "--config", str(cfg))
         assert out1 == out2
+
+
+# (subcommand, option, value) pairs that argparse must reject
+BAD_INTEGERS = [
+    ("stats", "--stride", "-1"),  # looped forever before parse-time checks
+    ("stats", "--stride", "x"),
+    ("stats", "--order", "0"),
+    ("stats", "--lag", "0"),
+    ("acorr", "--max-shift", "-3"),
+    ("acorr", "--lag2", "0"),
+    ("xcorr", "--max-shift", "-1"),
+    ("xcorr", "--lag2", "0"),
+    ("xcorr", "--degree-n", "0"),
+    ("xcorr", "--degree-m", "0"),
+    ("density", "--order", "0"),
+    ("contrast", "--lag", "-2"),
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("subcommand,option,value", BAD_INTEGERS)
+    def test_rejected_at_parse_time(self, capsys, subcommand, option, value):
+        # the parser alone, so a value that would hang a run cannot hang here
+        argv = [subcommand, "tape.csv", "--window", "3", "--start", "1",
+                "--lag", "1", option, value]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {option}" in err
+
+    def test_bounds_are_accepted(self):
+        args = build_parser().parse_args(
+            ["stats", "tape.csv", "--window", "3", "--start", "1", "--lag", "1",
+             "--stride", "0", "--order", "1"])
+        assert (args.lag, args.stride, args.order) == (1, 0, 1)
+        args = build_parser().parse_args(
+            ["xcorr", "tape.csv", "--window", "3", "--start", "1", "--lag", "1",
+             "--lag2", "1", "--max-shift", "0", "--degree-n", "1",
+             "--degree-m", "1"])
+        assert (args.lag2, args.max_shift, args.degree_n, args.degree_m) == (
+            1, 0, 1, 1)
+
+    def test_main_exits_2_without_traceback(self, capsys, fixture_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(fixture_csv), "--window", "3", "--start", "1",
+                  "--lag", "1", "--order", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 1, got 0" in err
+        assert "Traceback" not in err
 
 
 class TestSweeps:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vawar import moments
 from vawar.errors import (
     EmptySeries,
     InsufficientHistory,
     OrderExceedsWindow,
     OrderTooLarge,
+    WindowOutOfRange,
 )
 from vawar.moments import (
     MomentReport,
@@ -17,11 +19,14 @@ from vawar.moments import (
     dispersions,
     freq_moment,
     moment_report,
+    moment_reports,
     price_moment,
     return_moment,
     return_series,
     return_volatility,
 )
+from vawar.oracle import oracle
+from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
 from helpers import assert_close, random_case
@@ -281,3 +286,149 @@ class TestMomentReport:
             rep.return_moments[1] - rep.return_moments[0] ** 2,
             REL, msg="sigma_r2 = r2 - r1^2",
         )
+
+
+# The acceptance suite's oracle tolerance (C06): relative, with sigmas
+# floored at 1e-12 of the order-2 moment they are differenced from.
+ORACLE_REL = 1e-10
+
+HOSTILE = {
+    "whale": GenConfig(ticks=160, seed=5, price=WalkPrice(start=40.0, log_vol=0.05),
+                       volume=WhaleVolume(base=2.0, whale_volume=1e9, position=80)),
+    "decades": GenConfig(ticks=160, seed=6, price=WalkPrice(start=1.0, log_vol=0.6),
+                         volume=HeavyTailVolume(base=5.0, shape=1.5), coupling=0.5),
+}
+
+# report field -> oracle statistic; each sigma -> the order-2 moment it anchors on
+FAMILIES = (
+    ("value_moments", "value_moment"),
+    ("volume_moments", "volume_moment"),
+    ("price_moments", "price_moment"),
+    ("adj_value_moments", "adj_value_moment"),
+    ("adj_price_moments", "adj_price_moment"),
+    ("return_moments", "return_moment"),
+)
+SIGMAS = (
+    ("sigma_C2", "value_moment"),
+    ("sigma_Ca2", "adj_value_moment"),
+    ("sigma_U2", "volume_moment"),
+    ("sigma_p2", "price_moment"),
+    ("sigma_pa2", "adj_price_moment"),
+    ("sigma_r2", "return_moment"),
+)
+
+
+def _check_oracle(tape, reports, lag):
+    lags = LagSpec(lag_l=lag)
+    for rep in reports:
+        window = WindowSpec(rep.window_start, rep.window_count)
+        at = f"window {rep.window_start}"
+        for field, stat in FAMILIES:
+            for n, got in enumerate(getattr(rep, field), 1):
+                assert_close(got, oracle(tape, window, lags, stat, n=n),
+                             ORACLE_REL, msg=f"{at} {stat} n={n}")
+        for field, anchor in SIGMAS:
+            floor = 1e-12 * abs(oracle(tape, window, lags, anchor, n=2))
+            assert_close(getattr(rep, field), oracle(tape, window, lags, field),
+                         ORACLE_REL, abs_floor=floor, msg=f"{at} {field}")
+
+
+def _single_order_report(tape, start, count, lag, order):
+    """A window's report assembled from the single-order functions."""
+    w = resolve(tape, WindowSpec(start, count), LagSpec(lag))
+    orders = range(1, order + 1)
+    adj = [adjusted_moments(w, lag, n) for n in orders]
+    return MomentReport(
+        start, count, lag, order,
+        tuple(freq_moment(w.values, n) for n in orders),
+        tuple(freq_moment(w.volumes, n) for n in orders),
+        tuple(price_moment(w, n) for n in orders),
+        tuple(a[0] for a in adj),
+        tuple(a[1] for a in adj),
+        tuple(return_moment(w, lag, n) for n in orders),
+        *dispersions(w, lag).astuple(),
+        return_volatility(w, lag).via_moments,
+    )
+
+
+class TestMomentReports:
+    def test_decades_tape_spans_decades(self):
+        prices = generate(HOSTILE["decades"]).prices
+        assert prices.max() / prices.min() > 1e4
+
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_tapes_match_oracle(self, name, order):
+        tape = generate(HOSTILE[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # order 8 is at the default cap
+            reports = moment_reports(tape, WindowSpec(3, 40), 3, order, stride=9)
+        assert len(reports) == 14
+        _check_oracle(tape, reports, 3)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_order_above_cap_warns_and_matches_oracle(self, name):
+        tape = generate(HOSTILE[name])
+        with pytest.warns(OrderTooLarge):
+            reports = moment_reports(tape, WindowSpec(3, 40), 3, 9, stride=30)
+        _check_oracle(tape, reports, 3)
+
+    def test_order_above_window_warns(self, tape_a):
+        with pytest.warns(OrderExceedsWindow):
+            moment_reports(tape_a, WindowSpec(1, 3), 1, 4)
+
+    # blocks of 1, 4 and 50 windows split 147 windows into whole blocks,
+    # 36 blocks and a partial one of 3, and 2 blocks and a partial one of 47
+    @pytest.mark.parametrize("block_windows", [1, 4, 50])
+    def test_blocks_match_single_order_functions(self, monkeypatch, block_windows):
+        tape = generate(HOSTILE["decades"])
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 12 * block_windows)
+        reports = moment_reports(tape, WindowSpec(2, 12), 2, 5, stride=1)
+        assert [r.window_start for r in reports] == list(range(2, 160 - 12 + 1))
+        for rep in reports:
+            assert rep == _single_order_report(tape, rep.window_start, 12, 2, 5)
+
+    def test_default_block_sweep_ends_in_partial_block(self):
+        tape = generate(HOSTILE["decades"])
+        count = 2
+        per_block = moments.BLOCK_ELEMENTS // count
+        tape = TradeTape.from_arrays(np.resize(tape.prices, per_block + 40),
+                                     np.resize(tape.volumes, per_block + 40))
+        reports = moment_reports(tape, WindowSpec(1, count), 1, 2, stride=1)
+        assert per_block < len(reports) < 2 * per_block
+        for rep in reports[per_block - 2:per_block + 2] + reports[-2:]:
+            assert rep == _single_order_report(tape, rep.window_start, count, 1, 2)
+
+    def test_stride_zero_is_the_window_alone(self):
+        tape = generate(HOSTILE["decades"])
+        [rep] = moment_reports(tape, WindowSpec(5, 12), 2, 4, stride=0)
+        assert rep == _single_order_report(tape, 5, 12, 2, 4)
+        assert rep == moment_report(resolve(tape, WindowSpec(5, 12), LagSpec(2)), 2, 4)
+
+    def test_stride_longer_than_window(self):
+        tape = generate(HOSTILE["decades"])
+        reports = moment_reports(tape, WindowSpec(5, 12), 2, 2, stride=13)
+        assert [r.window_start for r in reports] == list(range(5, 149, 13))
+        for rep in reports:
+            assert rep == _single_order_report(tape, rep.window_start, 12, 2, 2)
+
+    def test_stride_longer_than_tape(self):
+        tape = generate(HOSTILE["whale"])
+        reports = moment_reports(tape, WindowSpec(5, 12), 2, 2, stride=1000)
+        assert [r.window_start for r in reports] == [5]
+
+    def test_negative_stride(self, tape_a):
+        with pytest.raises(ValueError, match="stride"):
+            moment_reports(tape_a, WindowSpec(1, 3), 1, 2, stride=-1)
+
+    def test_errors_name_the_window(self, tape_a):
+        with pytest.raises(InsufficientHistory,
+                           match=r"^window starting at 1 needs 2 ticks of history$"):
+            moment_reports(tape_a, WindowSpec(1, 3), 2, 2, stride=1)
+        with pytest.raises(WindowOutOfRange,
+                           match=r"^window \[2, 5\) exceeds tape of 4 ticks$"):
+            moment_reports(tape_a, WindowSpec(2, 3), 1, 2, stride=1)
+        window = resolve(tape_a, WindowSpec(1, 3), LagSpec(1))
+        with pytest.raises(InsufficientHistory,
+                           match=r"^window starting at 1 needs 2 ticks of history$"):
+            moment_report(window, 2)
