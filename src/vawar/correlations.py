@@ -21,13 +21,15 @@ are frequency-based, even when both appear in one formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import MismatchedWindows
 from .moments import (
     DEFAULT_ORDER_CAP,
+    _adjusted_moments,
+    _freq_moment,
     adjusted_moments,
     check_order,
     dispersions,
@@ -152,9 +154,12 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
 
         sum p_1^n p_2^m U_1^n U_2^m / sum U_1^n U_2^m.
     """
-    n, m = degrees
-    n = check_order(n, count=pair.count, order_cap=order_cap)
-    m = check_order(m, count=pair.count, order_cap=order_cap)
+    n, m = (check_order(d, count=pair.count, order_cap=order_cap) for d in degrees)
+    return _paired_expectation(kind, pair, n, m)
+
+
+def _paired_expectation(kind, pair: PairedWindows, n, m):
+    # paired_expectation with the degrees unchecked
     w1, w2 = pair.window1, pair.window2
     if kind in FREQUENCY_KINDS:
         leg1, leg2 = kind.split("_")
@@ -319,20 +324,22 @@ def return_price_corr(pair: PairedWindows, n=1, m=1,
 
     E[r^n p2^m] is weighted by C_a^n U2^m and equals the ratio of the
     value cross expectation to the C_a^n U2^m expectation; the closed
-    form rewrites the correlation through corr_C and corr_CaU.
+    form rewrites the correlation through corr_C and corr_CaU.  Each order
+    condition of n and m warns once.
     """
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
     w1, w2 = pair.window1, pair.window2
-    cnm = paired_expectation(VALUE_VALUE, pair, degrees=(n, m))
-    cau = paired_expectation(ADJVALUE_VOLUME, pair, degrees=(n, m))
-    c_n = freq_moment(w1.values, n)
-    ca_n, _ = adjusted_moments(w1, w1.lag_l, n)
+    cnm = _paired_expectation(VALUE_VALUE, pair, n, m)
+    cau = _paired_expectation(ADJVALUE_VOLUME, pair, n, m)
+    c_n = _freq_moment(w1.values, n)
+    ca_n, _ = _adjusted_moments(w1, w1.lag_l, n)
     r_n = c_n / ca_n
-    p_m = freq_moment(w2.values, m) / freq_moment(w2.volumes, m)
+    c_m, u_m = _freq_moment(w2.values, m), _freq_moment(w2.volumes, m)
+    p_m = c_m / u_m
     definitional = cnm / cau - r_n * p_m
-    corr_c = cnm - c_n * freq_moment(w2.values, m)
-    corr_cau = cau - ca_n * freq_moment(w2.volumes, m)
+    corr_c = cnm - c_n * c_m
+    corr_cau = cau - ca_n * u_m
     closed_form = (corr_c - r_n * p_m * corr_cau) / cau
     return ReturnPriceCorr(
         definitional=definitional, closed_form=closed_form, degree_n=n, degree_m=m
@@ -406,30 +413,8 @@ class CorrelationReport:
     normalized: dict
 
     def to_dict(self):
-        out = {
-            "window1_start": self.window1_start,
-            "window2_start": self.window2_start,
-            "count": self.count,
-            "lag1": self.lag1,
-            "lag2": self.lag2,
-            "shift_j": self.shift_j,
-            "cross_value": self.cross_value,
-            "cross_adj_value": self.cross_adj_value,
-            "cross_volume": self.cross_volume,
-            "cross_price": self.cross_price,
-            "cross_adj_price": self.cross_adj_price,
-            "cross_return": self.cross_return,
-            "corr_C": self.corr_C,
-            "corr_Ca": self.corr_Ca,
-            "corr_U": self.corr_U,
-            "corr_p": self.corr_p,
-            "corr_pa": self.corr_pa,
-            "corr_r": self.corr_r,
-            "corr_rU": self.corr_rU,
-            "corr_rp": self.corr_rp,
-            "corr_CaU": self.corr_CaU,
-            "normalized": dict(sorted(self.normalized.items())),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["normalized"] = dict(sorted(self.normalized.items()))
         return out
 
 

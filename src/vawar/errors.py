@@ -6,7 +6,14 @@ class VawarError(Exception):
 
 
 class TapeError(VawarError, ValueError):
-    """A trade tape or one of its rows violates the data contract."""
+    """A trade tape or one of its rows violates the data contract.
+
+    A fault of one tick carries its index as ``tick`` and the message
+    without its location as ``detail``; both are None otherwise.
+    """
+
+    tick = None
+    detail = None
 
 
 class NonPositiveField(TapeError):

@@ -83,6 +83,11 @@ def freq_moment(xs, n, order_cap=DEFAULT_ORDER_CAP):
     if not np.isfinite(xs).all():
         raise NonFinite("series contains non-finite entries")
     n = check_order(n, count=xs.size, order_cap=order_cap)
+    return _freq_moment(xs, n)
+
+
+def _freq_moment(xs, n):
+    # freq_moment of a non-empty finite float array, order unchecked
     scale = float(np.mean(np.abs(xs)))
     if scale == 0.0:
         return 0.0
@@ -129,6 +134,11 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
+    return _adjusted_moments(window, lag_l, n)
+
+
+def _adjusted_moments(window: ResolvedWindow, lag_l, n):
+    # adjusted_moments with the order unchecked
     pl, u = window.lagged_prices(lag_l), window.volumes
     v, ub = _scales(window.prices, u)
     un = (u / ub) ** n

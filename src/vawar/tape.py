@@ -11,16 +11,28 @@ Windows are addressed by their first tick index (forward indexing).  A
 window "k steps back with stride j" is simply the window starting at
 ``start - k * j``; there is no separate backward-time convention.
 
+Validation
+----------
+Each invariant has one definition.  :class:`TradeTick` holds the rules of
+one tick (finite fields; price, volume and value > 0; value = price *
+volume within ``VALUE_REL_TOL``).  :class:`TradeTape` finds the first tick
+that breaks any of them with one vector mask and lets that tick's
+``TradeTick`` raise, then checks the spacing.  :func:`ingest` only parses.
+
 CSV format
 ----------
 Header ``time,price,volume`` or ``time,price,volume,value``, decimal point
-``.``, one tick per row, UTF-8.  Ingestion is strict: the first bad row
-aborts with an error naming the row number (the header is row 1).
+``.``, one tick per row, UTF-8.  Ingestion is strict and names the row of
+the fault (the header is row 1).  Faults are reported in this order: the
+first row that does not parse (wrong column count, a cell that is not a
+finite number), then the first tick that breaks a tick rule, then the
+first bad spacing.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,7 @@ from .errors import (
     NonFinite,
     NonPositiveField,
     NonUniformSpacing,
+    TapeError,
     ValueMismatch,
     WindowOutOfRange,
 )
@@ -43,6 +56,16 @@ VALUE_REL_TOL = 1e-9
 SPACING_REL_TOL = 1e-6
 
 _FLOAT_FMT = "%.17g"
+
+#: CSV columns, which are also the TradeTick fields.
+_COLUMNS = ("time", "price", "volume", "value")
+
+
+def _fault(cls, tick, detail, where=None):
+    # A tape error at tick index ``tick``, located as "tick i" unless ``where``
+    exc = cls(f"{where or f'tick {tick}'}: {detail}")
+    exc.tick, exc.detail = tick, detail
+    return exc
 
 
 @dataclass(frozen=True)
@@ -56,83 +79,56 @@ class TradeTick:
     value: float
 
     def __post_init__(self):
-        for name in ("time", "price", "volume", "value"):
+        for name in _COLUMNS:
             if not math.isfinite(getattr(self, name)):
-                raise NonFinite(f"tick {self.index}: {name} is not finite")
-        if self.price <= 0 or self.volume <= 0 or self.value <= 0:
-            raise NonPositiveField(
-                f"tick {self.index}: price, volume and value must be > 0"
-            )
-        if abs(self.value - self.price * self.volume) > VALUE_REL_TOL * self.value:
-            raise ValueMismatch(
-                f"tick {self.index}: value {self.value!r} != price*volume "
-                f"{self.price * self.volume!r} beyond relative {VALUE_REL_TOL:g}"
-            )
+                raise _fault(NonFinite, self.index, f"{name} is not finite")
+        for name in _COLUMNS[1:]:
+            x = getattr(self, name)
+            if x <= 0:
+                raise _fault(NonPositiveField, self.index, f"{name} must be > 0, got {x!r}")
+        product = self.price * self.volume
+        if abs(self.value - product) > VALUE_REL_TOL * self.value:
+            raise _fault(ValueMismatch, self.index, f"value {self.value!r} != price*volume "
+                         f"{product!r} beyond relative {VALUE_REL_TOL:g}")
 
 
 class TradeTape:
     """Immutable uniformly spaced sequence of trades.
 
     Field arrays are float64 and read-only; ``tape[i]`` materializes a
-    :class:`TradeTick`.  Construction validates every invariant: positive
-    finite fields, value = price * volume within ``VALUE_REL_TOL``, and
-    consecutive times equal to ``epsilon`` within ``SPACING_REL_TOL``.
+    :class:`TradeTick`.  Construction raises what ``TradeTick`` raises for
+    the first tick that breaks a tick rule, then checks that consecutive
+    times differ by ``epsilon`` within ``SPACING_REL_TOL``.
     """
 
     __slots__ = ("times", "prices", "volumes", "values", "epsilon")
 
     def __init__(self, times, prices, volumes, values, epsilon):
-        # fresh copies: the tape owns (and freezes) its arrays
-        times = np.array(times, dtype=np.float64)
-        prices = np.array(prices, dtype=np.float64)
-        volumes = np.array(volumes, dtype=np.float64)
-        values = np.array(values, dtype=np.float64)
-        n = times.shape[0]
-        if n == 0:
+        # fresh read-only copies: the tape owns its arrays
+        fields = [np.array(x, dtype=np.float64) for x in (times, prices, volumes, values)]
+        for arr in fields:
+            arr.setflags(write=False)
+        self.times, self.prices, self.volumes, self.values = t, p, u, c = fields
+        if len(t) == 0:
             raise EmptyTape("tape has no ticks")
-        if not (prices.shape[0] == volumes.shape[0] == values.shape[0] == n):
+        if not (len(p) == len(u) == len(c) == len(t)):
             raise MalformedRow("field arrays have unequal lengths")
+
+        with np.errstate(all="ignore"):  # inf - inf or an overflow only marks its tick
+            bad = ~(np.isfinite(t) & np.isfinite(p) & np.isfinite(u) & np.isfinite(c))
+            bad |= (p <= 0) | (u <= 0) | (c <= 0) | (np.abs(c - p * u) > VALUE_REL_TOL * c)
+        if bad.any():
+            self[int(np.argmax(bad))]  # raises: the mask holds TradeTick's rules
+
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise NonUniformSpacing(f"epsilon must be a positive real, got {epsilon!r}")
-
-        for name, arr in (
-            ("time", times),
-            ("price", prices),
-            ("volume", volumes),
-            ("value", values),
-        ):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise NonFinite(f"tick {bad[0]}: {name} is not finite")
-        for name, arr in (("price", prices), ("volume", volumes), ("value", values)):
-            bad = np.flatnonzero(arr <= 0)
-            if bad.size:
-                raise NonPositiveField(f"tick {bad[0]}: {name} must be > 0")
-
-        mismatch = np.abs(values - prices * volumes) > VALUE_REL_TOL * values
-        bad = np.flatnonzero(mismatch)
+        gaps = np.diff(t)
+        bad = np.flatnonzero(np.abs(gaps - epsilon) > SPACING_REL_TOL * epsilon)
         if bad.size:
             i = int(bad[0])
-            raise ValueMismatch(
-                f"tick {i}: value {values[i]!r} != price*volume "
-                f"{prices[i] * volumes[i]!r} beyond relative {VALUE_REL_TOL:g}"
-            )
-
-        if n > 1:
-            gaps = np.diff(times)
-            bad = np.flatnonzero(np.abs(gaps - epsilon) > SPACING_REL_TOL * epsilon)
-            if bad.size:
-                i = int(bad[0])
-                raise NonUniformSpacing(
-                    f"ticks {i}->{i + 1}: spacing {gaps[i]!r} != epsilon {epsilon!r}"
-                )
-
-        for arr in (times, prices, volumes, values):
-            arr.setflags(write=False)
-        self.times = times
-        self.prices = prices
-        self.volumes = volumes
-        self.values = values
+            raise _fault(NonUniformSpacing, i + 1,
+                         f"spacing {float(gaps[i])!r} != epsilon {epsilon!r}",
+                         where=f"ticks {i}->{i + 1}")
         self.epsilon = float(epsilon)
 
     @classmethod
@@ -150,13 +146,7 @@ class TradeTape:
     @classmethod
     def from_ticks(cls, ticks, epsilon):
         ticks = list(ticks)
-        return cls(
-            [t.time for t in ticks],
-            [t.price for t in ticks],
-            [t.volume for t in ticks],
-            [t.value for t in ticks],
-            epsilon,
-        )
+        return cls(*([getattr(t, name) for t in ticks] for name in _COLUMNS), epsilon)
 
     def __len__(self):
         return self.times.shape[0]
@@ -167,13 +157,8 @@ class TradeTape:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"tick index {i} out of range")
-        return TradeTick(
-            index=i,
-            time=float(self.times[i]),
-            price=float(self.prices[i]),
-            volume=float(self.volumes[i]),
-            value=float(self.values[i]),
-        )
+        fields = (self.times, self.prices, self.volumes, self.values)
+        return TradeTick(i, *(float(f[i]) for f in fields))
 
     @property
     def ticks(self):
@@ -293,14 +278,15 @@ WITH_VALUE = "with_value"
 DERIVE_VALUE = "derive_value"
 
 
-def _parse_float(text, row, column):
-    try:
-        x = float(text)
-    except ValueError:
-        raise NonFinite(f"row {row}: {column} {text!r} is not a number") from None
-    if not math.isfinite(x):
-        raise NonFinite(f"row {row}: {column} {text!r} is not finite")
-    return x
+def _reject_cells(cells, row):
+    # Raise NonFinite for the first cell of a row that is not a finite number.
+    for name, text in zip(_COLUMNS, cells):
+        try:
+            x = float(text)
+        except ValueError:
+            raise NonFinite(f"row {row}: {name} {text!r} is not a number") from None
+        if not math.isfinite(x):
+            raise NonFinite(f"row {row}: {name} {text!r} is not finite")
 
 
 def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
@@ -308,8 +294,12 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
 
     ``value_format`` selects between deriving values as price * volume
     (``derive_value``) and reading a fourth ``value`` column that is
-    checked against price * volume (``with_value``).  Validation is
-    strict: the first bad row raises with its 1-based row number.
+    checked against price * volume (``with_value``).  Ingest checks the
+    header, the column count and that each cell it reads is a finite
+    number; every other rule is :class:`TradeTape`'s, whose error it
+    re-labels with the 1-based CSV row of the tick.  So the reported fault
+    is the first row that does not parse, else the first tick that breaks
+    a tick rule, else the first bad spacing.
     """
     if value_format not in (WITH_VALUE, DERIVE_VALUE):
         raise ValueError(f"unknown value_format {value_format!r}")
@@ -318,7 +308,7 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
         header = next(lines)
     except StopIteration:
         raise EmptyTape("empty input: missing header") from None
-    columns = [c.strip().lower() for c in header.strip().lstrip("﻿").split(",")]
+    columns = [c.strip().lower() for c in header.strip().lstrip("\ufeff").split(",")]
     if columns[:3] != ["time", "price", "volume"] or len(columns) > 4:
         raise MalformedRow("row 1: expected header time,price,volume[,value]")
     has_value = len(columns) == 4 and columns[3] == "value"
@@ -327,80 +317,47 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     if value_format == WITH_VALUE and not has_value:
         raise MalformedRow("row 1: with_value requires a value column")
 
-    times, prices, volumes, values = [], [], [], []
-    row = 1
-    for line in lines:
-        row += 1
-        line = line.strip()
-        if not line:
+    used = 4 if value_format == WITH_VALUE else 3  # a derived value's cell is not read
+    rows, numbers = array("q"), array("d")  # each tick's CSV row, and its cells
+    for row, line in enumerate(lines, 2):
+        cells = line.strip().split(",")
+        if cells == [""]:
             continue
-        cells = line.split(",")
         if len(cells) != len(columns):
             raise MalformedRow(
                 f"row {row}: expected {len(columns)} columns, got {len(cells)}"
             )
-        t = _parse_float(cells[0], row, "time")
-        p = _parse_float(cells[1], row, "price")
-        u = _parse_float(cells[2], row, "volume")
-        if p <= 0:
-            raise NonPositiveField(f"row {row}: price must be > 0, got {p!r}")
-        if u <= 0:
-            raise NonPositiveField(f"row {row}: volume must be > 0, got {u!r}")
-        if value_format == WITH_VALUE:
-            c = _parse_float(cells[3], row, "value")
-            if c <= 0:
-                raise NonPositiveField(f"row {row}: value must be > 0, got {c!r}")
-            if abs(c - p * u) > VALUE_REL_TOL * c:
-                raise ValueMismatch(
-                    f"row {row}: value {c!r} != price*volume {p * u!r} "
-                    f"beyond relative {VALUE_REL_TOL:g}"
-                )
-        else:
-            c = p * u
-        times.append(t)
-        prices.append(p)
-        volumes.append(u)
-        values.append(c)
-
-    if not times:
+        try:
+            xs = [float(x) for x in cells[:used]]
+        except ValueError:
+            xs = None
+        if xs is None or not all(map(math.isfinite, xs)):
+            _reject_cells(cells[:used], row)
+        numbers.fromlist(xs)
+        rows.append(row)
+    if not rows:
         raise EmptyTape("no data rows")
-    for i in range(1, len(times)):
-        if abs((times[i] - times[i - 1]) - epsilon) > SPACING_REL_TOL * epsilon:
-            raise NonUniformSpacing(
-                f"row {i + 2}: spacing {times[i] - times[i - 1]!r} != "
-                f"epsilon {epsilon!r}"
-            )
-    return TradeTape(times, prices, volumes, values, epsilon)
+
+    data = np.frombuffer(numbers).reshape(len(rows), used)
+    with np.errstate(over="ignore"):  # TradeTape names an infinite value
+        values = data[:, 3] if used == 4 else data[:, 1] * data[:, 2]
+    try:
+        return TradeTape(data[:, 0], data[:, 1], data[:, 2], values, epsilon)
+    except TapeError as exc:
+        if exc.tick is None:
+            raise
+        raise _fault(type(exc), exc.tick, exc.detail, where=f"row {rows[exc.tick]}") from None
 
 
 def write_csv(tape: TradeTape, stream, include_value=True):
     """Serialize a tape in the ingest CSV format with 17-significant-digit
     floats (lossless round trip)."""
-    if include_value:
-        stream.write("time,price,volume,value\n")
-        for i in range(len(tape)):
-            stream.write(
-                ",".join(
-                    _FLOAT_FMT % x
-                    for x in (
-                        tape.times[i],
-                        tape.prices[i],
-                        tape.volumes[i],
-                        tape.values[i],
-                    )
-                )
-                + "\n"
-            )
-    else:
-        stream.write("time,price,volume\n")
-        for i in range(len(tape)):
-            stream.write(
-                ",".join(
-                    _FLOAT_FMT % x
-                    for x in (tape.times[i], tape.prices[i], tape.volumes[i])
-                )
-                + "\n"
-            )
+    k = 4 if include_value else 3
+    fields = (tape.times, tape.prices, tape.volumes, tape.values)[:k]
+    stream.write(",".join(_COLUMNS[:k]) + "\n")
+    line = ",".join([_FLOAT_FMT] * k) + "\n"
+    for row in zip(*fields):
+        stream.write(line % row)
 
 
 def infer_epsilon(text_head: str):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from vawar.correlations import (
     self_pair,
 )
 from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow
-from vawar.moments import freq_moment, return_volatility
+from vawar.moments import adjusted_moments, freq_moment, return_volatility
 from vawar.oracle import oracle
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
@@ -312,6 +313,29 @@ class TestReturnPriceCorr:
                      msg="defining vs closed form")
 
 
+    @pytest.mark.parametrize("n, m, want", [
+        (9, 1, ["OrderTooLarge"]),
+        (9, 9, ["OrderTooLarge", "OrderTooLarge"]),
+        (1, 40, ["OrderTooLarge", "OrderExceedsWindow"]),
+    ])
+    def test_each_order_condition_warns_once(self, n, m, want):
+        tape = TradeTape.from_arrays(np.exp(np.linspace(0.0, 0.3, 80)), np.arange(1.0, 81.0))
+        pair = pair_windows(tape, WindowSpec(40, 30), 1, shift_j=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rp = return_price_corr(pair, n, m)
+        assert [w.category.__name__ for w in caught] == want
+        # the checked public functions give the same numbers
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w1, w2 = pair.window1, pair.window2
+            cnm = paired_expectation("value_value", pair, degrees=(n, m))
+            cau = paired_expectation("adjvalue_volume", pair, degrees=(n, m))
+            r_n = freq_moment(w1.values, n) / adjusted_moments(w1, 1, n)[0]
+            p_m = freq_moment(w2.values, m) / freq_moment(w2.volumes, m)
+        assert rp.definitional == cnm / cau - r_n * p_m
+
+
 class TestAdjPriceVolumeSq:
     def test_fixture(self, window_a):
         res = adjprice_volume_sq_corr(window_a, 1)
@@ -381,6 +405,14 @@ class TestCorrelationReport:
         assert rep.normalized["corr_r"] == pytest.approx(1.0, rel=1e-10)
         # fixture A has sigma_pa2 < 0: normalized corr_pa is undefined
         assert math.isnan(rep.normalized["corr_pa"])
+
+    def test_to_dict_follows_field_order(self, pair_a):
+        rep = correlation_report(pair_a)
+        rep = dataclasses.replace(rep, normalized=dict(reversed(rep.normalized.items())))
+        doc = rep.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(rep)]
+        assert list(doc["normalized"]) == sorted(rep.normalized)
+        assert all(doc[k] == getattr(rep, k) for k in doc if k != "normalized")
 
     def test_serialization(self, pair_a):
         doc = correlation_report(pair_a).to_dict()

@@ -86,6 +86,54 @@ class TestIngest:
         with pytest.raises(MalformedRow, match="row 3"):
             ingest(csv, DERIVE_VALUE, epsilon=1.0)
 
+    @pytest.mark.parametrize("csv, value_format, error, message", [
+        ("time,price,volume\n0,2,10\n1,2,0\n", DERIVE_VALUE, NonPositiveField,
+         "row 3: volume must be > 0, got 0.0"),
+        ("time,price,volume,value\n0,2,10,19.9\n", WITH_VALUE, ValueMismatch,
+         "row 2: value 19.9 != price*volume 20.0 beyond relative 1e-09"),
+        ("time,price,volume\n0,2,10\n1,2,5\n2.5,4,10\n", DERIVE_VALUE, NonUniformSpacing,
+         "row 4: spacing 1.5 != epsilon 1.0"),
+        # a blank line still counts as a row
+        ("time,price,volume\n0,2,10\n\n1,2,5\n2.5,4,10\n", DERIVE_VALUE, NonUniformSpacing,
+         "row 5: spacing 1.5 != epsilon 1.0"),
+        ("time,price,volume\n0,2,10\n1,abc,5\n", DERIVE_VALUE, NonFinite,
+         "row 3: price 'abc' is not a number"),
+        ("time,price,volume\n0,2,10\n1,2,inf\n", DERIVE_VALUE, NonFinite,
+         "row 3: volume 'inf' is not finite"),
+        ("time,price,volume\n0,2,10\n1,2\n", DERIVE_VALUE, MalformedRow,
+         "row 3: expected 3 columns, got 2"),
+        ("time,price,volume\n", DERIVE_VALUE, EmptyTape, "no data rows"),
+        ("", DERIVE_VALUE, EmptyTape, "empty input: missing header"),
+    ])
+    def test_single_fault_messages(self, csv, value_format, error, message):
+        with pytest.raises(error) as info:
+            ingest(csv, value_format, epsilon=1.0)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows, error, message", [
+        # a parse fault on a later row comes before a tick-rule fault
+        (["0,-2,10", "1,2,5", "2,2,x"], NonFinite, "row 4: volume 'x' is not a number"),
+        (["0,-2,10", "1,2,5", "2,2"], MalformedRow, "row 4: expected 3 columns, got 2"),
+        # parse faults among themselves, and tick-rule faults, go by row
+        (["0,2,nan", "1,2"], NonFinite, "row 2: volume 'nan' is not finite"),
+        (["0,2,10", "1,2,0", "2,-1,5"], NonPositiveField, "row 3: volume must be > 0, got 0.0"),
+        # a tick-rule fault on a later row comes before a bad spacing
+        (["0,2,10", "5,2,5", "6,2,0"], NonPositiveField, "row 4: volume must be > 0, got 0.0"),
+    ])
+    def test_fault_order(self, rows, error, message):
+        csv = "time,price,volume\n" + "\n".join(rows) + "\n"
+        with pytest.raises(error) as info:
+            ingest(csv, DERIVE_VALUE, epsilon=1.0)
+        assert str(info.value) == message
+
+    def test_error_keeps_tick_index(self):
+        csv = "time,price,volume\n\n0,2,10\n\n1,2,-5\n"
+        with pytest.raises(NonPositiveField) as info:
+            ingest(csv, DERIVE_VALUE, epsilon=1.0)
+        assert str(info.value) == "row 5: volume must be > 0, got -5.0"
+        assert (info.value.tick, info.value.detail) == (1, "volume must be > 0, got -5.0")
+
     def test_stream_input(self):
         tape = ingest(io.StringIO(FIXTURE_CSV), DERIVE_VALUE, epsilon=1.0)
         assert len(tape) == 4
@@ -101,6 +149,29 @@ class TestIngest:
         for field in ("times", "prices", "volumes", "values"):
             assert getattr(original, field).tolist() == getattr(again, field).tolist()
 
+    def test_roundtrip_without_value_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        prices = np.exp(rng.normal(0, 0.3, 50)) * 37.1234567890123
+        volumes = np.exp(rng.normal(0, 1.0, 50)) * 12345.6789
+        original = TradeTape.from_arrays(prices, volumes, epsilon=0.5, start_time=3.25)
+        buf = io.StringIO()
+        write_csv(original, buf, include_value=False)
+        text = buf.getvalue()
+        assert text.startswith("time,price,volume\n")
+        assert {line.count(",") for line in text.splitlines()} == {2}
+        again = ingest(text, DERIVE_VALUE, epsilon=0.5)
+        for field in ("times", "prices", "volumes", "values"):
+            assert getattr(original, field).tolist() == getattr(again, field).tolist()
+
+
+# (column, injected value) of each tick fault; None scales the value just
+# beyond VALUE_REL_TOL
+TICK_FAULTS = (
+    [(c, x) for c in range(4) for x in (math.nan, math.inf, -math.inf)]
+    + [(c, x) for c in (1, 2, 3) for x in (0.0, -1.5)]
+    + [(3, None)]
+)
+
 
 class TestTick:
     def test_fields_validated(self):
@@ -110,6 +181,44 @@ class TestTick:
             TradeTick(index=0, time=0.0, price=math.inf, volume=1.0, value=1.0)
         with pytest.raises(ValueMismatch):
             TradeTick(index=0, time=0.0, price=2.0, volume=10.0, value=19.9)
+
+    def test_message_names_field_and_value(self):
+        with pytest.raises(NonPositiveField, match=r"^tick 3: volume must be > 0, got -1\.0$"):
+            TradeTick(index=3, time=0.0, price=1.0, volume=-1.0, value=1.0)
+        with pytest.raises(NonFinite, match=r"^tick 0: time is not finite$") as info:
+            TradeTick(index=0, time=math.nan, price=-1.0, volume=1.0, value=1.0)
+        assert (info.value.tick, info.value.detail) == (0, "time is not finite")
+
+    def test_tape_spacing_error(self):
+        with pytest.raises(NonUniformSpacing) as info:
+            TradeTape([0.0, 1.0, 2.5], [2.0] * 3, [1.0] * 3, [2.0] * 3, 1.0)
+        assert str(info.value) == "ticks 1->2: spacing 1.5 != epsilon 1.0"
+        assert info.value.tick == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fault", range(len(TICK_FAULTS)))
+    def test_tape_raises_what_first_bad_tick_raises(self, fault, seed):
+        # the fault under test and one more drawn from the list, at random ticks
+        rng = np.random.default_rng([fault, seed])
+        n = int(rng.integers(2, 60))
+        fields = [np.arange(n, dtype=np.float64), np.exp(rng.normal(0, 1, n)),
+                  np.exp(rng.normal(3, 2, n))]
+        fields.append(fields[1] * fields[2])
+        faults = [TICK_FAULTS[fault], TICK_FAULTS[rng.integers(len(TICK_FAULTS))]]
+        for i, (column, x) in zip(rng.choice(n, size=2, replace=False), faults):
+            fields[column][i] = fields[3][i] * (1 + 2e-9) if x is None else x
+        first = None
+        for i in range(n):
+            try:
+                TradeTick(i, *(float(f[i]) for f in fields))
+            except (NonFinite, NonPositiveField, ValueMismatch) as exc:
+                first = exc
+                break
+        assert first is not None
+        with pytest.raises(type(first)) as info:
+            TradeTape(*fields, 1.0)
+        assert type(info.value) is type(first)
+        assert (str(info.value), info.value.tick) == (str(first), first.tick)
 
     def test_tape_indexing(self, tape_a):
         tick = tape_a[2]
