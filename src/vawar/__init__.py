@@ -3,8 +3,7 @@
 Value-weighted return moments (VaWAR and its higher orders),
 volume-weighted price moments (VWAP and its generalizations), adjusted
 values, dispersions, return auto- and cross-correlations, and
-moment-matched characteristic-function/density approximations, with an
-independent brute-force oracle for verification.
+moment-matched characteristic-function/density approximations.
 """
 
 from .charfn import (
@@ -74,7 +73,6 @@ from .moments import (
     return_series,
     return_volatility,
 )
-from .oracle import oracle, statistics
 from .synth import (
     GenConfig,
     WeightingContrast,

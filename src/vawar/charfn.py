@@ -39,6 +39,7 @@ from .errors import (
     OrderZero,
     QuadratureDivergence,
 )
+from .reportio import FLOAT_FMT
 
 TAYLOR = "taylor"
 EXPONENTIAL = "exponential"
@@ -395,8 +396,9 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
 def write_density_csv(dens: DensityGrid, stream):
     """Two-column CSV (r, density) with 17-significant-digit floats."""
     stream.write("r,density\n")
+    line = f"{FLOAT_FMT},{FLOAT_FMT}\n"
     for r, mu in zip(dens.grid, dens.density):
-        stream.write("%.17g,%.17g\n" % (r, mu))
+        stream.write(line % (r, mu))
 
 
 @dataclass(frozen=True)

@@ -16,27 +16,24 @@ extension (see ``CorrelationReport.normalized``).
 The estimators deliberately mix weighting schemes exactly as defined:
 return and price expectations are weighted, value/volume expectations
 are frequency-based, even when both appear in one formula.
+
+A pair builds one series cache per window (``PairedWindows.units``) on
+first use: each tape series and its window mean, shared by every
+estimator of the pair.  One formula (``_cross``) takes every cross
+expectation from the two caches, and the first-order moments come from
+the same caches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MismatchedWindows
-from .moments import (
-    DEFAULT_ORDER_CAP,
-    _adjusted_moments,
-    _freq_moment,
-    adjusted_moments,
-    check_order,
-    dispersions,
-    freq_moment,
-    price_moment,
-    return_volatility,
-)
+from .moments import DEFAULT_ORDER_CAP, _sigmas, _Units, _window_moments, check_order
 from .tape import (
     LagSpec,
     ResolvedWindow,
@@ -97,6 +94,11 @@ class PairedWindows:
     def count(self):
         return self.window1.count
 
+    @cached_property
+    def units(self):
+        """Series caches of window1 and window2, each at its own lag."""
+        return tuple(_Units(w, w.lag_l) for w in (self.window1, self.window2))
+
 
 def pair_windows(
     tape: TradeTape, window: WindowSpec, lag1, lag2=None, shift_j=0
@@ -108,7 +110,7 @@ def pair_windows(
     """
     if lag2 is None:
         lag2 = lag1
-    w1 = resolve(tape, window, LagSpec(lag_l=lag1, window_shift_j=shift_j))
+    w1 = resolve(tape, window, LagSpec(lag_l=lag1))
     w2 = resolve(
         tape,
         WindowSpec(start=window.start - shift_j, count=window.count),
@@ -117,31 +119,16 @@ def pair_windows(
     return PairedWindows(window1=w1, window2=w2)
 
 
+def _relag(window: ResolvedWindow, lag_l) -> ResolvedWindow:
+    # The window's ticks with return lag lag_l, its history checked
+    w = ResolvedWindow(window.tape, window.start, window.count, int(lag_l))
+    require_history(w, w.lag_l)
+    return w
+
+
 def self_pair(window: ResolvedWindow, lag2=None) -> PairedWindows:
     """Pair a window with itself (lambda = 0), optionally with a second lag."""
-    w2 = ResolvedWindow(
-        tape=window.tape,
-        start=window.start,
-        count=window.count,
-        lag_l=window.lag_l if lag2 is None else int(lag2),
-    )
-    require_history(w2, w2.lag_l)
-    return PairedWindows(window1=window, window2=w2)
-
-
-def _norm(x):
-    s = float(np.mean(x))
-    return s, x / s
-
-
-def _leg_series(window: ResolvedWindow, leg):
-    if leg == "value":
-        return window.values
-    if leg == "adjvalue":
-        return window.lagged_prices() * window.volumes
-    if leg == "volume":
-        return window.volumes
-    raise ValueError(f"unknown leg {leg!r}")
+    return PairedWindows(window, _relag(window, window.lag_l if lag2 is None else lag2))
 
 
 def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
@@ -155,27 +142,20 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
         sum p_1^n p_2^m U_1^n U_2^m / sum U_1^n U_2^m.
     """
     n, m = (check_order(d, count=pair.count, order_cap=order_cap) for d in degrees)
-    return _paired_expectation(kind, pair, n, m)
+    if kind not in FREQUENCY_KINDS + MARKET_KINDS:
+        raise ValueError(f"unknown paired-expectation kind {kind!r}")
+    return _cross(kind, *pair.units, n, m)
 
 
-def _paired_expectation(kind, pair: PairedWindows, n, m):
-    # paired_expectation with the degrees unchecked
-    w1, w2 = pair.window1, pair.window2
-    if kind in FREQUENCY_KINDS:
-        leg1, leg2 = kind.split("_")
-        s1, a = _norm(_leg_series(w1, leg1))
-        s2, b = _norm(_leg_series(w2, leg2))
-        return s1**n * s2**m * float(np.mean(a**n * b**m))
+def _cross(kind, x1, x2, n=1, m=1):
+    # paired_expectation of window caches x1, x2, degrees unchecked; the
+    # kind names the cached series of each leg
+    leg1, leg2 = kind.split("_")
+    (s1, a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
     if kind in MARKET_KINDS:
-        p1 = w1.lagged_prices() if kind == ADJPRICE_ADJPRICE else w1.prices
-        p2 = w2.lagged_prices() if kind == ADJPRICE_ADJPRICE else w2.prices
-        s1, a = _norm(p1)
-        s2, b = _norm(p2)
-        _, u1 = _norm(w1.volumes)
-        _, u2 = _norm(w2.volumes)
-        un = u1**n * u2**m
+        un = x1.volume[1] ** n * x2.volume[1] ** m
         return s1**n * s2**m * float(np.sum(a**n * b**m * un) / np.sum(un))
-    raise ValueError(f"unknown paired-expectation kind {kind!r}")
+    return s1**n * s2**m * float(np.mean(a**n * b**m))
 
 
 @dataclass(frozen=True)
@@ -200,13 +180,13 @@ def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
     corr_p and corr_pa.  All three agree in exact arithmetic; for a
     self-pair the result reduces to sigma_r^2(t, tau).
     """
-    w1, w2 = pair.window1, pair.window2
-    cross_c = paired_expectation(VALUE_VALUE, pair)
-    cross_ca = paired_expectation(ADJVALUE_ADJVALUE, pair)
-    c1 = freq_moment(w1.values, 1)
-    c2 = freq_moment(w2.values, 1)
-    ca1, pa1 = adjusted_moments(w1, w1.lag_l, 1)
-    ca2, pa2 = adjusted_moments(w2, w2.lag_l, 1)
+    x1, x2 = pair.units
+    cross_c = _cross(VALUE_VALUE, x1, x2)
+    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
+    c1 = x1.freq_moment("value", 1)
+    c2 = x2.freq_moment("value", 1)
+    ca1, pa1 = x1.adjusted_moments(1)
+    ca2, pa2 = x2.adjusted_moments(1)
     r1 = c1 / ca1
     r2 = c2 / ca2
     definitional = cross_c / cross_ca - r1 * r2
@@ -215,10 +195,10 @@ def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
     corr_ca = cross_ca - ca1 * ca2
     value_form = (corr_c - r1 * r2 * corr_ca) / cross_ca
 
-    p1 = price_moment(w1, 1)
-    p2 = price_moment(w2, 1)
-    cross_p = paired_expectation(PRICE_PRICE, pair)
-    cross_pa = paired_expectation(ADJPRICE_ADJPRICE, pair)
+    p1 = x1.price_moment(1)
+    p2 = x2.price_moment(1)
+    cross_p = _cross(PRICE_PRICE, x1, x2)
+    cross_pa = _cross(ADJPRICE_ADJPRICE, x1, x2)
     corr_p = cross_p - p1 * p2
     corr_pa = cross_pa - pa1 * pa2
     price_form = (pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2)
@@ -246,15 +226,12 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     ``residual`` is exact - approximation, the part attributable to
     correlated adjusted values.
     """
-    w1 = ResolvedWindow(window.tape, window.start, window.count, int(lag1))
-    require_history(w1, w1.lag_l)
-    pair = self_pair(w1, lag2=int(lag2))
-    w2 = pair.window2
-    cross_c = paired_expectation(VALUE_VALUE, pair)
-    cross_ca = paired_expectation(ADJVALUE_ADJVALUE, pair)
-    c1 = freq_moment(w1.values, 1)
-    ca1, _ = adjusted_moments(w1, w1.lag_l, 1)
-    ca2, _ = adjusted_moments(w2, w2.lag_l, 1)
+    x1, x2 = self_pair(_relag(window, lag1), lag2).units
+    cross_c = _cross(VALUE_VALUE, x1, x2)
+    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
+    c1 = x1.freq_moment("value", 1)
+    ca1, _ = x1.adjusted_moments(1)
+    ca2, _ = x2.adjusted_moments(1)
     sigma_c2 = cross_c - c1 * c1
     corr_ca = cross_ca - ca1 * ca2
     r1 = c1 / ca1
@@ -287,12 +264,12 @@ def return_volume_corr(pair: PairedWindows) -> ReturnVolumeCorr:
     corr_CU(t | t2) / Ca(t,tau;1), equal to corr_CU / [pa(t,tau;1)
     U(t;1)].  Only window1's lag enters.
     """
-    w1, w2 = pair.window1, pair.window2
-    cu = paired_expectation(VALUE_VOLUME, pair)
-    c1 = freq_moment(w1.values, 1)
-    u1 = freq_moment(w1.volumes, 1)
-    u2 = freq_moment(w2.volumes, 1)
-    ca1, pa1 = adjusted_moments(w1, w1.lag_l, 1)
+    x1, x2 = pair.units
+    cu = _cross(VALUE_VOLUME, x1, x2)
+    c1 = x1.freq_moment("value", 1)
+    u1 = x1.freq_moment("volume", 1)
+    u2 = x2.freq_moment("volume", 1)
+    ca1, pa1 = x1.adjusted_moments(1)
     r1 = c1 / ca1
     corr_cu = cu - c1 * u2
     definitional = cu / ca1 - r1 * u2
@@ -329,13 +306,13 @@ def return_price_corr(pair: PairedWindows, n=1, m=1,
     """
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
-    w1, w2 = pair.window1, pair.window2
-    cnm = _paired_expectation(VALUE_VALUE, pair, n, m)
-    cau = _paired_expectation(ADJVALUE_VOLUME, pair, n, m)
-    c_n = _freq_moment(w1.values, n)
-    ca_n, _ = _adjusted_moments(w1, w1.lag_l, n)
+    x1, x2 = pair.units
+    cnm = _cross(VALUE_VALUE, x1, x2, n, m)
+    cau = _cross(ADJVALUE_VOLUME, x1, x2, n, m)
+    c_n = x1.freq_moment("value", n)
+    ca_n, _ = x1.adjusted_moments(n)
     r_n = c_n / ca_n
-    c_m, u_m = _freq_moment(w2.values, m), _freq_moment(w2.volumes, m)
+    c_m, u_m = x2.freq_moment("value", m), x2.freq_moment("volume", m)
     p_m = c_m / u_m
     definitional = cnm / cau - r_n * p_m
     corr_c = cnm - c_n * c_m
@@ -365,13 +342,11 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     route: corr_CaU(t,tau | t) - pa(t,tau;1) sigma_U^2(t).  Equal in
     exact arithmetic.
     """
-    w1 = ResolvedWindow(window.tape, window.start, window.count, int(lag_l))
-    require_history(w1, w1.lag_l)
-    pair = self_pair(w1)
-    cau = paired_expectation(ADJVALUE_VOLUME, pair)
-    ca1, pa1 = adjusted_moments(w1, lag_l, 1)
-    u1 = freq_moment(w1.volumes, 1)
-    u2 = freq_moment(w1.volumes, 2)
+    x1, x2 = self_pair(_relag(window, lag_l)).units
+    cau = _cross(ADJVALUE_VOLUME, x1, x2)
+    ca1, pa1 = x1.adjusted_moments(1)
+    u1 = x1.freq_moment("volume", 1)
+    u2 = x1.freq_moment("volume", 2)
     direct = cau - pa1 * u2
     corr_cau = cau - ca1 * u1
     sigma_u2 = u2 - u1 * u1
@@ -418,6 +393,10 @@ class CorrelationReport:
         return out
 
 
+#: The correlations that ``normalized`` divides by their dispersions.
+_NORMALIZED = ("corr_C", "corr_Ca", "corr_U", "corr_p", "corr_pa", "corr_r")
+
+
 def _normalize(corr, var1, var2):
     if var1 <= 0 or var2 <= 0:
         return math.nan
@@ -427,33 +406,24 @@ def _normalize(corr, var1, var2):
 def correlation_report(pair: PairedWindows) -> CorrelationReport:
     """Assemble every cross expectation and correlation of the pair."""
     w1, w2 = pair.window1, pair.window2
-    cross_c = paired_expectation(VALUE_VALUE, pair)
-    cross_ca = paired_expectation(ADJVALUE_ADJVALUE, pair)
-    cross_u = paired_expectation(VOLUME_VOLUME, pair)
-    cross_p = paired_expectation(PRICE_PRICE, pair)
-    cross_pa = paired_expectation(ADJPRICE_ADJPRICE, pair)
-    cross_r = cross_c / cross_ca
-    cau = paired_expectation(ADJVALUE_VOLUME, pair)
+    x1, x2 = pair.units
+    cross_c = _cross(VALUE_VALUE, x1, x2)
+    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
+    cross_u = _cross(VOLUME_VOLUME, x1, x2)
+    cross_p = _cross(PRICE_PRICE, x1, x2)
+    cross_pa = _cross(ADJPRICE_ADJPRICE, x1, x2)
+    cau = _cross(ADJVALUE_VOLUME, x1, x2)
 
-    c1, c2 = freq_moment(w1.values, 1), freq_moment(w2.values, 1)
-    u1, u2 = freq_moment(w1.volumes, 1), freq_moment(w2.volumes, 1)
-    p1, p2 = price_moment(w1, 1), price_moment(w2, 1)
-    ca1, pa1 = adjusted_moments(w1, w1.lag_l, 1)
-    ca2, pa2 = adjusted_moments(w2, w2.lag_l, 1)
-    d1 = dispersions(w1, w1.lag_l)
-    d2 = dispersions(w2, w2.lag_l)
-    s_r1 = return_volatility(w1, w1.lag_l).via_moments
-    s_r2 = return_volatility(w2, w2.lag_l).via_moments
-
-    corr_r = return_autocorr(pair).definitional
-    normalized = {
-        "corr_C": _normalize(cross_c - c1 * c2, d1.sigma_C2, d2.sigma_C2),
-        "corr_Ca": _normalize(cross_ca - ca1 * ca2, d1.sigma_Ca2, d2.sigma_Ca2),
-        "corr_U": _normalize(cross_u - u1 * u2, d1.sigma_U2, d2.sigma_U2),
-        "corr_p": _normalize(cross_p - p1 * p2, d1.sigma_p2, d2.sigma_p2),
-        "corr_pa": _normalize(cross_pa - pa1 * pa2, d1.sigma_pa2, d2.sigma_pa2),
-        "corr_r": _normalize(corr_r, s_r1, s_r2),
-    }
+    c1, c2 = x1.freq_moment("value", 1), x2.freq_moment("value", 1)
+    u1, u2 = x1.freq_moment("volume", 1), x2.freq_moment("volume", 1)
+    p1, p2 = x1.price_moment(1), x2.price_moment(1)
+    ca1, pa1 = x1.adjusted_moments(1)
+    ca2, pa2 = x2.adjusted_moments(1)
+    corrs = dict(zip(_NORMALIZED, (
+        cross_c - c1 * c2, cross_ca - ca1 * ca2, cross_u - u1 * u2, cross_p - p1 * p2,
+        cross_pa - pa1 * pa2, return_autocorr(pair).definitional)))
+    # each window's dispersions, matching _NORMALIZED, from one kernel call
+    s1, s2 = (_sigmas(*_window_moments(w, w.lag_l, 2)) for w in (w1, w2))
     return CorrelationReport(
         window1_start=w1.start,
         window2_start=w2.start,
@@ -466,15 +436,10 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         cross_volume=cross_u,
         cross_price=cross_p,
         cross_adj_price=cross_pa,
-        cross_return=cross_r,
-        corr_C=cross_c - c1 * c2,
-        corr_Ca=cross_ca - ca1 * ca2,
-        corr_U=cross_u - u1 * u2,
-        corr_p=cross_p - p1 * p2,
-        corr_pa=cross_pa - pa1 * pa2,
-        corr_r=corr_r,
+        cross_return=cross_c / cross_ca,
+        **corrs,
         corr_rU=return_volume_corr(pair).definitional,
         corr_rp=return_price_corr(pair).definitional,
         corr_CaU=cau - ca1 * u2,
-        normalized=normalized,
+        normalized={k: _normalize(c, a, b) for (k, c), a, b in zip(corrs.items(), s1, s2)},
     )

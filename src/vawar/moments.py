@@ -26,16 +26,20 @@ scale-invariance properties in the tests) and prevents overflow at high
 orders or for extreme trade sizes.
 
 One kernel takes these power sums for every order over the last axis, so
-it serves one window ``(N,)`` and a block of windows ``(B, N)`` alike; the
-single-order functions are thin views of its pieces.  Each window is
-summed on its own and its scales restored with Python ``float ** int``,
-so a sweep is byte-identical to its windows computed one at a time.
+it serves one window ``(N,)`` and a block of windows ``(B, N)`` alike;
+dispersions and volatilities are views of it.  Each window is summed on
+its own and its scales restored with Python ``float ** int``, so a sweep
+is byte-identical to its windows computed one at a time.  The
+single-order price and adjusted moments are views of a per-window cache
+(``_Units``) that holds each tape series divided by its window mean; the
+correlations read the same cache, one per window of a pair.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,20 +87,10 @@ def freq_moment(xs, n, order_cap=DEFAULT_ORDER_CAP):
     if not np.isfinite(xs).all():
         raise NonFinite("series contains non-finite entries")
     n = check_order(n, count=xs.size, order_cap=order_cap)
-    return _freq_moment(xs, n)
-
-
-def _freq_moment(xs, n):
-    # freq_moment of a non-empty finite float array, order unchecked
-    scale = float(np.mean(np.abs(xs)))
+    scale = float(np.mean(np.abs(xs)))  # |x|: return series may be signed
     if scale == 0.0:
         return 0.0
     return scale**n * float(np.mean((xs / scale) ** n))
-
-
-def _scales(p, u):
-    # VWAP and mean volume of each window; conditioning scales only.
-    return np.sum(p * u, axis=-1) / np.sum(u, axis=-1), np.mean(u, axis=-1)
 
 
 def _weighted(x, w):
@@ -110,17 +104,61 @@ def _return_weights(p, pl, u):
     return p / pl, ca / np.mean(ca, axis=-1)[..., None]
 
 
-def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
-    """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
-    n = check_order(n, count=window.count, order_cap=order_cap)
-    p, u = window.prices, window.volumes
-    v, ub = _scales(p, u)
-    return float(v) ** n * float(_weighted((p / v) ** n, (u / ub) ** n))
-
-
 def adjusted_value_series(window: ResolvedWindow, lag_l):
     """Adjusted values C_a(t_i, tau) = p(t_i - tau) U(t_i) over the window."""
     return window.lagged_prices(lag_l) * window.volumes
+
+
+def _unit_series(series):
+    # A _Units attribute: (window mean, x / mean) of x = series(window, lag_l),
+    # computed on first use and kept
+    def unit(units):
+        x = series(units.window, units.lag_l)
+        s = float(np.mean(x))
+        return s, x / s
+    return cached_property(unit)
+
+
+class _Units:
+    """One window's tape series, each divided by its window mean once.
+
+    Cross expectations and frequency moments read the cached series; the
+    price and adjusted moments divide prices by the VWAP and weight by the
+    volume series.  Orders are taken unchecked.
+    """
+
+    value = _unit_series(lambda w, _: w.values)
+    adjvalue = _unit_series(adjusted_value_series)
+    volume = _unit_series(lambda w, _: w.volumes)
+    price = _unit_series(lambda w, _: w.prices)
+    adjprice = _unit_series(ResolvedWindow.lagged_prices)
+
+    def __init__(self, window: ResolvedWindow, lag_l):
+        self.window, self.lag_l = window, lag_l
+
+    @cached_property
+    def vwap(self):
+        return float(_weighted(self.window.prices, self.window.volumes))
+
+    def freq_moment(self, series, n):
+        s, a = getattr(self, series)
+        return s**n * float(np.mean(a**n))
+
+    def price_moment(self, n):
+        v = self.vwap
+        return v**n * float(_weighted((self.window.prices / v) ** n, self.volume[1] ** n))
+
+    def adjusted_moments(self, n):
+        v, (ub, us) = self.vwap, self.volume
+        un = us**n
+        s = np.sum((self.window.lagged_prices(self.lag_l) / v) ** n * un)
+        return (v * ub) ** n * float(s / us.size), v**n * float(s / np.sum(un))
+
+
+def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
+    """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
+    n = check_order(n, count=window.count, order_cap=order_cap)
+    return _Units(window, window.lag_l).price_moment(n)
 
 
 def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP):
@@ -134,17 +172,7 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    return _adjusted_moments(window, lag_l, n)
-
-
-def _adjusted_moments(window: ResolvedWindow, lag_l, n):
-    # adjusted_moments with the order unchecked
-    pl, u = window.lagged_prices(lag_l), window.volumes
-    v, ub = _scales(window.prices, u)
-    un = (u / ub) ** n
-    s = np.sum((pl / v) ** n * un)
-    v, ub = float(v), float(ub)
-    return (v * ub) ** n * float(s / u.size), v**n * float(s / np.sum(un))
+    return _Units(window, lag_l).adjusted_moments(n)
 
 
 def return_series(window: ResolvedWindow, lag_l, form=RATIO):
@@ -186,7 +214,7 @@ def _unit_moments(p, u, c, pl, top):
     """
     count = p.shape[-1]
     sc = np.mean(c, axis=-1)  # values are > 0, so this is freq_moment's scale
-    v, ub = _scales(p, u)
+    v, ub = _weighted(p, u), np.mean(u, axis=-1)  # VWAP and mean volume
     cs, ps, us, pls = (x / s[..., None] for x, s in ((c, sc), (p, v), (u, ub), (pl, v)))
     r, w = _return_weights(p, pl, u)
     rows = []
@@ -248,6 +276,11 @@ class Dispersions:
         return (self.sigma_C2, self.sigma_Ca2, self.sigma_U2, self.sigma_p2, self.sigma_pa2)
 
 
+def _sigmas(c, u, p, ca, pa, r):
+    # The six dispersions, in _SIGMAS order, from order-1 and order-2 moment tuples
+    return (*Dispersions.of(c, u, p, ca, pa).astuple(), r[1] - r[0] * r[0])
+
+
 def dispersions(window: ResolvedWindow, lag_l) -> Dispersions:
     """Dispersions of values, adjusted values, volumes, and (market-based)
     prices and adjusted prices over the window."""
@@ -277,14 +310,12 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     via_prices:   [sigma_p^2 pa1^2 - sigma_pa^2 p1^2] / [pa1^2 pa2]
     """
     c, u, p, ca, pa, r = _window_moments(window, lag_l, 2)
-    d = Dispersions.of(c, u, p, ca, pa)
+    s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(c, u, p, ca, pa, r)
     (c1, _), (p1, _), (ca1, ca2), (pa1, pa2) = c, p, ca, pa
-    via_values = (d.sigma_C2 * ca1 * ca1 - d.sigma_Ca2 * c1 * c1) / (ca1 * ca1 * ca2)
-    via_prices = (d.sigma_p2 * pa1 * pa1 - d.sigma_pa2 * p1 * p1) / (pa1 * pa1 * pa2)
     return ReturnVolatility(
-        via_moments=r[1] - r[0] * r[0],
-        via_values=via_values,
-        via_prices=via_prices,
+        via_moments=s_r,
+        via_values=(s_c * ca1 * ca1 - s_ca * c1 * c1) / (ca1 * ca1 * ca2),
+        via_prices=(s_p * pa1 * pa1 - s_pa * p1 * p1) / (pa1 * pa1 * pa2),
     )
 
 
@@ -375,7 +406,7 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
                 first + k * stride, count, int(lag_l), order_max,
                 c[:order_max], u[:order_max], p[:order_max], ca[:order_max],
                 pa[:order_max], r[:order_max],
-                *Dispersions.of(c, u, p, ca, pa).astuple(), r[1] - r[0] * r[0],
+                *_sigmas(c, u, p, ca, pa, r),
             ))
     return reports
 

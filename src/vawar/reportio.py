@@ -14,11 +14,12 @@ import math
 
 SCHEMA_VERSION = 1
 
-_FLOAT_FMT = "%.17g"
+#: Format of every float written (17 significant digits round-trip binary64).
+FLOAT_FMT = "%.17g"
 
 
 def format_float(x) -> str:
-    return _FLOAT_FMT % x
+    return FLOAT_FMT % x
 
 
 def _write_json(obj, out, indent, level):

@@ -48,14 +48,13 @@ from .errors import (
     ValueMismatch,
     WindowOutOfRange,
 )
+from .reportio import FLOAT_FMT
 
 #: Relative tolerance for a supplied value against price * volume.
 VALUE_REL_TOL = 1e-9
 
 #: Relative tolerance (in units of epsilon) for uniform tick spacing.
 SPACING_REL_TOL = 1e-6
-
-_FLOAT_FMT = "%.17g"
 
 #: CSV columns, which are also the TradeTick fields.
 _COLUMNS = ("time", "price", "volume", "value")
@@ -212,7 +211,6 @@ class ResolvedWindow:
     start: int
     count: int
     lag_l: int
-    window_shift_j: int = 0
 
     @property
     def indices(self):
@@ -270,7 +268,6 @@ def resolve(tape: TradeTape, window: WindowSpec, lags: LagSpec) -> ResolvedWindo
         start=window.start,
         count=window.count,
         lag_l=lags.lag_l,
-        window_shift_j=lags.window_shift_j,
     )
 
 
@@ -355,7 +352,7 @@ def write_csv(tape: TradeTape, stream, include_value=True):
     k = 4 if include_value else 3
     fields = (tape.times, tape.prices, tape.volumes, tape.values)[:k]
     stream.write(",".join(_COLUMNS[:k]) + "\n")
-    line = ",".join([_FLOAT_FMT] * k) + "\n"
+    line = ",".join([FLOAT_FMT] * k) + "\n"
     for row in zip(*fields):
         stream.write(line % row)
 

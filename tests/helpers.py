@@ -171,3 +171,23 @@ def two_lag_anchor(window, lag1, lag2):
     return (c2 + c1 * c1) / cross_ca + r1r2 * (1.0 + ca1 * ca2 / cross_ca) + (
         c2 + c1 * c1
     ) / (ca1 * ca2)
+
+
+def old_paired_expectation(kind, pair, n=1, m=1):
+    """Cross expectation as computed before the per-window series cache:
+    each call divides both windows' series by their means afresh."""
+    def norm(x):
+        s = float(np.mean(x))
+        return s, x / s
+
+    w1, w2 = pair.window1, pair.window2
+    if kind in ("price_price", "adjprice_adjprice"):
+        s1, a = norm(w1.lagged_prices() if kind == "adjprice_adjprice" else w1.prices)
+        s2, b = norm(w2.lagged_prices() if kind == "adjprice_adjprice" else w2.prices)
+        un = norm(w1.volumes)[1] ** n * norm(w2.volumes)[1] ** m
+        return s1**n * s2**m * float(np.sum(a**n * b**m * un) / np.sum(un))
+    legs = {"value": lambda w: w.values, "volume": lambda w: w.volumes,
+            "adjvalue": lambda w: w.lagged_prices() * w.volumes}
+    leg1, leg2 = kind.split("_")
+    (s1, a), (s2, b) = norm(legs[leg1](w1)), norm(legs[leg2](w2))
+    return s1**n * s2**m * float(np.mean(a**n * b**m))

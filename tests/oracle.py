@@ -12,8 +12,8 @@ back by j ticks with lag l2.
 
 from __future__ import annotations
 
-from .errors import InsufficientHistory, UnknownStatistic, WindowOutOfRange
-from .tape import LagSpec, TradeTape, WindowSpec
+from vawar.errors import InsufficientHistory, UnknownStatistic, WindowOutOfRange
+from vawar.tape import LagSpec, TradeTape, WindowSpec
 
 
 def _bounds(tape, window, lag, shift=0):

@@ -41,7 +41,7 @@ from vawar.moments import (
     return_series,
     return_volatility,
 )
-from vawar.oracle import oracle
+from oracle import oracle
 from vawar.synth import weighting_contrast, whale_tape
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 

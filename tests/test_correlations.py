@@ -19,7 +19,7 @@ from vawar.correlations import (
 )
 from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow
 from vawar.moments import adjusted_moments, freq_moment, return_volatility
-from vawar.oracle import oracle
+from oracle import oracle
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
 from helpers import (

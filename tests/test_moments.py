@@ -25,7 +25,7 @@ from vawar.moments import (
     return_series,
     return_volatility,
 )
-from vawar.oracle import oracle
+from oracle import oracle
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 

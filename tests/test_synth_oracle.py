@@ -5,7 +5,7 @@ import pytest
 
 from vawar.errors import InvalidConfig, UnknownStatistic
 from vawar.moments import return_moment
-from vawar.oracle import oracle, statistics
+from oracle import oracle, statistics
 from vawar.synth import (
     ConstantPrice,
     ConstantVolume,
