@@ -13,12 +13,7 @@ import io
 import sys
 
 from . import charfn
-from .correlations import (
-    pair_windows,
-    return_autocorr,
-    return_price_corr,
-    return_volume_corr,
-)
+from .correlations import CORR_R, CORR_RP, CORR_RU, pair_sweep
 from .errors import VawarError
 from .moments import (
     DEFAULT_ORDER_CAP,
@@ -189,35 +184,35 @@ def _emit_sweep(args, subcommand, rows):
         _write_text(args.out, sink.getvalue())
 
 
-def _shift_rows(args, stats):
-    """Sweep rows for pair shifts j = 0..--max-shift; ``stats(pair)`` lists
-    (n, m, statistic, value_form, price_form, definitional) per statistic."""
+def _shift_rows(args, stats, rows, degrees=(1, 1)):
+    """Sweep rows for pair shifts j = 0..--max-shift from one
+    :func:`vawar.correlations.pair_sweep` call over ``stats`` (window1's
+    series cached once, window2's batched over blocks of shifts).
+    ``rows(*results)`` lists (n, m, statistic, value_form, price_form,
+    definitional) per statistic of one shift."""
     tape, _ = _load_tape(args)
     lag2 = args.lag2 if args.lag2 is not None else args.lag
-    window = WindowSpec(args.start, args.window)
+    sweep = pair_sweep(tape, WindowSpec(args.start, args.window), args.lag, lag2,
+                       args.max_shift, stats, degrees)
     return [dict(zip(_SWEEP_COLUMNS, (j, args.lag, lag2, *stat)))
-            for j in range(args.max_shift + 1)
-            for stat in stats(pair_windows(tape, window, args.lag, lag2, shift_j=j))]
+            for j, results in enumerate(sweep) for stat in rows(*results)]
 
 
 def _cmd_acorr(args):
-    def stats(pair):
-        ac = return_autocorr(pair)
+    def rows(ac):
         return [(1, 1, "corr_r", ac.value_form, ac.price_form, ac.definitional)]
 
-    _emit_sweep(args, "acorr", _shift_rows(args, stats))
+    _emit_sweep(args, "acorr", _shift_rows(args, (CORR_R,), rows))
     return 0
 
 
 def _cmd_xcorr(args):
-    def stats(pair):
-        ru = return_volume_corr(pair)
-        rp = return_price_corr(pair, n=args.degree_n, m=args.degree_m)
+    def rows(ru, rp):
         return [(1, 1, "corr_rU", ru.closed_form, ru.closed_form_prices, ru.definitional),
-                (args.degree_n, args.degree_m, "corr_rp", rp.closed_form, None,
-                 rp.definitional)]
+                (rp.degree_n, rp.degree_m, "corr_rp", rp.closed_form, None, rp.definitional)]
 
-    _emit_sweep(args, "xcorr", _shift_rows(args, stats))
+    degrees = (args.degree_n, args.degree_m)
+    _emit_sweep(args, "xcorr", _shift_rows(args, (CORR_RU, CORR_RP), rows, degrees))
     return 0
 
 

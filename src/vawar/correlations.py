@@ -17,11 +17,17 @@ The estimators deliberately mix weighting schemes exactly as defined:
 return and price expectations are weighted, value/volume expectations
 are frequency-based, even when both appear in one formula.
 
-A pair builds one series cache per window (``PairedWindows.units``) on
-first use: each tape series and its window mean, shared by every
-estimator of the pair.  One formula (``_cross``) takes every cross
-expectation from the two caches, and the first-order moments come from
-the same caches.
+One pair kernel computes the estimators for a block of pairs that share
+window1: window1's series cache (``moments._Units``, one row, built once
+per sweep) against the caches of a block of window2s, one row per shift,
+copied from the tape as contiguous ``(B, N)`` rows.  Every window2 mean,
+cross expectation (``_Pairs.cross``) and moment is one reduction over the
+last axis of the block; each estimator's arithmetic then runs per shift
+on Python floats in its formula's order.  A sweep over shifts
+(:func:`pair_sweep`) is therefore bit-identical to its pairs computed one
+at a time, and the one-pair estimators are the kernel on a block of one
+(``PairedWindows.units``).  Within a block each cross expectation is
+evaluated once, however many estimators read it.
 """
 
 from __future__ import annotations
@@ -29,19 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _sigmas, _Units, _window_moments, check_order
-from .tape import (
-    LagSpec,
-    ResolvedWindow,
-    TradeTape,
-    WindowSpec,
-    require_history,
-    resolve,
-)
+from .moments import DEFAULT_ORDER_CAP, _block_rows, _sigmas, _Ticks, _Units, check_order
+from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, require_history, resolve
 
 VALUE_VALUE = "value_value"
 ADJVALUE_ADJVALUE = "adjvalue_adjvalue"
@@ -59,6 +60,41 @@ FREQUENCY_KINDS = (
     ADJVALUE_VOLUME,
 )
 MARKET_KINDS = (PRICE_PRICE, ADJPRICE_ADJPRICE)
+
+#: The statistics pair_sweep computes: return_autocorr, return_volume_corr
+#: and return_price_corr.
+CORR_R = "corr_r"
+CORR_RU = "corr_rU"
+CORR_RP = "corr_rp"
+
+
+def _cross(kind, x1: _Units, x2: _Units, n, m):
+    # paired_expectation of window1's cache x1 with each window of the block
+    # cache x2, degrees unchecked: a list of floats, one per window of x2
+    leg1, leg2 = kind.split("_")
+    ([s1], a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
+    if kind in MARKET_KINDS:
+        un = x1.volume[1] ** n * x2.volume[1] ** m
+        e = np.sum(a**n * b**m * un, axis=-1) / np.sum(un, axis=-1)
+    else:
+        e = np.mean(a**n * b**m, axis=-1)
+    return [s1**n * s**m * x for s, x in zip(s2, e.tolist())]
+
+
+class _Pairs:
+    """Window1's series cache ``x1`` paired with each window of a block
+    cache ``x2``."""
+
+    def __init__(self, x1: _Units, x2: _Units):
+        self.x1, self.x2, self._crosses = x1, x2, {}
+
+    def cross(self, kind, n=1, m=1):
+        """The block's cross expectations of one kind and degrees, evaluated
+        on first use: a list of floats, one per window of the block."""
+        key = kind, n, m
+        if key not in self._crosses:
+            self._crosses[key] = _cross(kind, self.x1, self.x2, n, m)
+        return self._crosses[key]
 
 
 @dataclass(frozen=True)
@@ -96,8 +132,12 @@ class PairedWindows:
 
     @cached_property
     def units(self):
-        """Series caches of window1 and window2, each at its own lag."""
-        return tuple(_Units(w, w.lag_l) for w in (self.window1, self.window2))
+        """The pair as the kernel's block of one: window1's series cache
+        and window2's, which shares window1's lag-free series when both
+        hold the same ticks."""
+        w1, w2 = self.window1, self.window2
+        x1 = _Units.of(w1, w1.lag_l)
+        return _Pairs(x1, _Units.of(w2, w2.lag_l, x1.ticks if w2.start == w1.start else None))
 
 
 def pair_windows(
@@ -144,18 +184,7 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
     n, m = (check_order(d, count=pair.count, order_cap=order_cap) for d in degrees)
     if kind not in FREQUENCY_KINDS + MARKET_KINDS:
         raise ValueError(f"unknown paired-expectation kind {kind!r}")
-    return _cross(kind, *pair.units, n, m)
-
-
-def _cross(kind, x1, x2, n=1, m=1):
-    # paired_expectation of window caches x1, x2, degrees unchecked; the
-    # kind names the cached series of each leg
-    leg1, leg2 = kind.split("_")
-    (s1, a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
-    if kind in MARKET_KINDS:
-        un = x1.volume[1] ** n * x2.volume[1] ** m
-        return s1**n * s2**m * float(np.sum(a**n * b**m * un) / np.sum(un))
-    return s1**n * s2**m * float(np.mean(a**n * b**m))
+    return pair.units.cross(kind, n, m)[0]
 
 
 @dataclass(frozen=True)
@@ -171,6 +200,30 @@ class ReturnAutocorr:
         return self.definitional
 
 
+def _autocorr(x: _Pairs):
+    # return_autocorr of each pair of the block
+    x1, x2 = x.x1, x.x2
+    [c1], ([ca1], [pa1]), [p1] = (x1.value_moment(1), x1.adjusted_moments(1),
+                                  x1.price_moment(1))
+    r1 = c1 / ca1
+    out = []
+    for cross_c, cross_ca, cross_p, cross_pa, c2, ca2, pa2, p2 in zip(
+            x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE), x.cross(PRICE_PRICE),
+            x.cross(ADJPRICE_ADJPRICE), x2.value_moment(1),
+            *x2.adjusted_moments(1), x2.price_moment(1)):
+        r2 = c2 / ca2
+        corr_c = cross_c - c1 * c2
+        corr_ca = cross_ca - ca1 * ca2
+        corr_p = cross_p - p1 * p2
+        corr_pa = cross_pa - pa1 * pa2
+        out.append(ReturnAutocorr(
+            definitional=cross_c / cross_ca - r1 * r2,
+            value_form=(corr_c - r1 * r2 * corr_ca) / cross_ca,
+            price_form=(pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2),
+        ))
+    return out
+
+
 def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
     """corr_r(t,tau | t2,tau2) = E[r r2] - E[r] E[r2].
 
@@ -180,32 +233,7 @@ def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
     corr_p and corr_pa.  All three agree in exact arithmetic; for a
     self-pair the result reduces to sigma_r^2(t, tau).
     """
-    x1, x2 = pair.units
-    cross_c = _cross(VALUE_VALUE, x1, x2)
-    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
-    c1 = x1.freq_moment("value", 1)
-    c2 = x2.freq_moment("value", 1)
-    ca1, pa1 = x1.adjusted_moments(1)
-    ca2, pa2 = x2.adjusted_moments(1)
-    r1 = c1 / ca1
-    r2 = c2 / ca2
-    definitional = cross_c / cross_ca - r1 * r2
-
-    corr_c = cross_c - c1 * c2
-    corr_ca = cross_ca - ca1 * ca2
-    value_form = (corr_c - r1 * r2 * corr_ca) / cross_ca
-
-    p1 = x1.price_moment(1)
-    p2 = x2.price_moment(1)
-    cross_p = _cross(PRICE_PRICE, x1, x2)
-    cross_pa = _cross(ADJPRICE_ADJPRICE, x1, x2)
-    corr_p = cross_p - p1 * p2
-    corr_pa = cross_pa - pa1 * pa2
-    price_form = (pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2)
-
-    return ReturnAutocorr(
-        definitional=definitional, value_form=value_form, price_form=price_form
-    )
+    return _autocorr(pair.units)[0]
 
 
 @dataclass(frozen=True)
@@ -226,12 +254,10 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     ``residual`` is exact - approximation, the part attributable to
     correlated adjusted values.
     """
-    x1, x2 = self_pair(_relag(window, lag1), lag2).units
-    cross_c = _cross(VALUE_VALUE, x1, x2)
-    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
-    c1 = x1.freq_moment("value", 1)
-    ca1, _ = x1.adjusted_moments(1)
-    ca2, _ = x2.adjusted_moments(1)
+    x = self_pair(_relag(window, lag1), lag2).units
+    [cross_c], [cross_ca] = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
+    [c1] = x.x1.value_moment(1)
+    ([ca1], _), ([ca2], _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
     sigma_c2 = cross_c - c1 * c1
     corr_ca = cross_ca - ca1 * ca2
     r1 = c1 / ca1
@@ -257,6 +283,23 @@ class ReturnVolumeCorr:
         return self.definitional
 
 
+def _volume_corr(x: _Pairs):
+    # return_volume_corr of each pair of the block
+    x1 = x.x1
+    [c1], [u1], ([ca1], [pa1]) = (x1.value_moment(1), x1.volume_moment(1),
+                                  x1.adjusted_moments(1))
+    r1 = c1 / ca1
+    out = []
+    for cu, u2 in zip(x.cross(VALUE_VOLUME), x.x2.volume_moment(1)):
+        corr_cu = cu - c1 * u2
+        out.append(ReturnVolumeCorr(
+            definitional=cu / ca1 - r1 * u2,
+            closed_form=corr_cu / ca1,
+            closed_form_prices=corr_cu / (pa1 * u1),
+        ))
+    return out
+
+
 def return_volume_corr(pair: PairedWindows) -> ReturnVolumeCorr:
     """corr_rU(t,tau | t2) = E[r U2] - E[r] E[U2].
 
@@ -264,20 +307,7 @@ def return_volume_corr(pair: PairedWindows) -> ReturnVolumeCorr:
     corr_CU(t | t2) / Ca(t,tau;1), equal to corr_CU / [pa(t,tau;1)
     U(t;1)].  Only window1's lag enters.
     """
-    x1, x2 = pair.units
-    cu = _cross(VALUE_VOLUME, x1, x2)
-    c1 = x1.freq_moment("value", 1)
-    u1 = x1.freq_moment("volume", 1)
-    u2 = x2.freq_moment("volume", 1)
-    ca1, pa1 = x1.adjusted_moments(1)
-    r1 = c1 / ca1
-    corr_cu = cu - c1 * u2
-    definitional = cu / ca1 - r1 * u2
-    return ReturnVolumeCorr(
-        definitional=definitional,
-        closed_form=corr_cu / ca1,
-        closed_form_prices=corr_cu / (pa1 * u1),
-    )
+    return _volume_corr(pair.units)[0]
 
 
 @dataclass(frozen=True)
@@ -295,6 +325,25 @@ class ReturnPriceCorr:
         return self.definitional
 
 
+def _price_corr(x: _Pairs, n, m):
+    # return_price_corr of each pair of the block, degrees unchecked
+    [c_n], ([ca_n], _) = x.x1.value_moment(n), x.x1.adjusted_moments(n)
+    r_n = c_n / ca_n
+    out = []
+    for cnm, cau, c_m, u_m in zip(x.cross(VALUE_VALUE, n, m), x.cross(ADJVALUE_VOLUME, n, m),
+                                  x.x2.value_moment(m), x.x2.volume_moment(m)):
+        p_m = c_m / u_m
+        corr_c = cnm - c_n * c_m
+        corr_cau = cau - ca_n * u_m
+        out.append(ReturnPriceCorr(
+            definitional=cnm / cau - r_n * p_m,
+            closed_form=(corr_c - r_n * p_m * corr_cau) / cau,
+            degree_n=n,
+            degree_m=m,
+        ))
+    return out
+
+
 def return_price_corr(pair: PairedWindows, n=1, m=1,
                       order_cap=DEFAULT_ORDER_CAP) -> ReturnPriceCorr:
     """corr_rp(t,tau;n | t2;m) = E[r^n p2^m] - r(t,tau;n) p(t2;m).
@@ -306,21 +355,52 @@ def return_price_corr(pair: PairedWindows, n=1, m=1,
     """
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
-    x1, x2 = pair.units
-    cnm = _cross(VALUE_VALUE, x1, x2, n, m)
-    cau = _cross(ADJVALUE_VOLUME, x1, x2, n, m)
-    c_n = x1.freq_moment("value", n)
-    ca_n, _ = x1.adjusted_moments(n)
-    r_n = c_n / ca_n
-    c_m, u_m = x2.freq_moment("value", m), x2.freq_moment("volume", m)
-    p_m = c_m / u_m
-    definitional = cnm / cau - r_n * p_m
-    corr_c = cnm - c_n * c_m
-    corr_cau = cau - ca_n * u_m
-    closed_form = (corr_c - r_n * p_m * corr_cau) / cau
-    return ReturnPriceCorr(
-        definitional=definitional, closed_form=closed_form, degree_n=n, degree_m=m
-    )
+    return _price_corr(pair.units, n, m)[0]
+
+
+def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats, degrees):
+    """The named statistics of the window (return lag lag1) paired with its
+    twin j ticks earlier (return lag lag2), j = 0..max_shift.
+
+    ``stats`` names them: ``corr_r`` (:func:`return_autocorr`),
+    ``corr_rU`` (:func:`return_volume_corr`) and ``corr_rp``
+    (:func:`return_price_corr` at ``degrees`` (n, m), whose order
+    conditions warn once per sweep).  Returns an iterator of one tuple of
+    results per shift, each equal to that estimator on
+    ``pair_windows(tape, window, lag1, lag2, j)``.  Every shift is checked
+    before this returns: it raises what ``pair_windows`` raises at the
+    first infeasible j.  Window1's series are cached once; window2's are
+    computed as the iterator is consumed, in blocks of about
+    ``moments.BLOCK_ELEMENTS`` ticks per field, so only one block's
+    results are held at a time.
+    """
+    unknown = set(stats) - {CORR_R, CORR_RU, CORR_RP}
+    if unknown:
+        raise ValueError(f"unknown sweep statistics {sorted(unknown)}")
+    lag1, lag2 = int(lag1), int(lag2)
+    # Shift 0 checks window1 and window2's size; window2 then fits at every
+    # shift until it runs out of history, at j = window.start - lag2 + 1
+    # (a negative max_shift fails as pair_windows fails at that shift).
+    w1 = pair_windows(tape, window, lag1, lag2).window1
+    pair_windows(tape, window, lag1, lag2, min(max_shift, window.start - lag2 + 1))
+    n, m = degrees
+    if CORR_RP in stats:
+        n = check_order(n, count=window.count)
+        m = check_order(m, count=window.count)
+    estimate = {CORR_R: _autocorr, CORR_RU: _volume_corr,
+                CORR_RP: lambda x: _price_corr(x, n, m)}
+    x1, count = _Units.of(w1, w1.lag_l), window.count
+    step = _block_rows(count)
+    p, u, c = (sliding_window_view(f, count) for f in (tape.prices, tape.volumes, tape.values))
+
+    def block(lo):
+        starts = window.start - np.arange(lo, min(lo + step, max_shift + 1))
+        # Indexing copies each window2 into its own contiguous row, which
+        # numpy sums pairwise as it sums a window alone.
+        x = _Pairs(x1, _Units(_Ticks(p[starts], u[starts], c[starts]), p[starts - lag2]))
+        return zip(*(estimate[s](x) for s in stats))
+
+    return chain.from_iterable(map(block, range(0, max_shift + 1, step)))
 
 
 @dataclass(frozen=True)
@@ -342,11 +422,10 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     route: corr_CaU(t,tau | t) - pa(t,tau;1) sigma_U^2(t).  Equal in
     exact arithmetic.
     """
-    x1, x2 = self_pair(_relag(window, lag_l)).units
-    cau = _cross(ADJVALUE_VOLUME, x1, x2)
-    ca1, pa1 = x1.adjusted_moments(1)
-    u1 = x1.freq_moment("volume", 1)
-    u2 = x1.freq_moment("volume", 2)
+    x = self_pair(_relag(window, lag_l)).units
+    [cau] = x.cross(ADJVALUE_VOLUME)
+    [ca1], [pa1] = x.x1.adjusted_moments(1)
+    [u1], [u2] = x.x1.volume_moment(1), x.x1.volume_moment(2)
     direct = cau - pa1 * u2
     corr_cau = cau - ca1 * u1
     sigma_u2 = u2 - u1 * u1
@@ -406,24 +485,21 @@ def _normalize(corr, var1, var2):
 def correlation_report(pair: PairedWindows) -> CorrelationReport:
     """Assemble every cross expectation and correlation of the pair."""
     w1, w2 = pair.window1, pair.window2
-    x1, x2 = pair.units
-    cross_c = _cross(VALUE_VALUE, x1, x2)
-    cross_ca = _cross(ADJVALUE_ADJVALUE, x1, x2)
-    cross_u = _cross(VOLUME_VOLUME, x1, x2)
-    cross_p = _cross(PRICE_PRICE, x1, x2)
-    cross_pa = _cross(ADJPRICE_ADJPRICE, x1, x2)
-    cau = _cross(ADJVALUE_VOLUME, x1, x2)
-
-    c1, c2 = x1.freq_moment("value", 1), x2.freq_moment("value", 1)
-    u1, u2 = x1.freq_moment("volume", 1), x2.freq_moment("volume", 1)
-    p1, p2 = x1.price_moment(1), x2.price_moment(1)
-    ca1, pa1 = x1.adjusted_moments(1)
-    ca2, pa2 = x2.adjusted_moments(1)
+    x = pair.units
+    [cross_c], [cross_ca], [cross_u], [cross_p], [cross_pa], [cau] = (x.cross(kind) for kind in (
+        VALUE_VALUE, ADJVALUE_ADJVALUE, VOLUME_VOLUME, PRICE_PRICE, ADJPRICE_ADJPRICE,
+        ADJVALUE_VOLUME))
+    ([c1], [u1], [p1]), ([c2], [u2], [p2]) = (
+        (y.value_moment(1), y.volume_moment(1), y.price_moment(1))
+        for y in (x.x1, x.x2))
+    ([ca1], [pa1]), ([ca2], [pa2]) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
+    # the estimators read the cross expectations above from the same pair
+    [ac], [ru], [rp] = _autocorr(x), _volume_corr(x), _price_corr(x, 1, 1)
     corrs = dict(zip(_NORMALIZED, (
         cross_c - c1 * c2, cross_ca - ca1 * ca2, cross_u - u1 * u2, cross_p - p1 * p2,
-        cross_pa - pa1 * pa2, return_autocorr(pair).definitional)))
-    # each window's dispersions, matching _NORMALIZED, from one kernel call
-    s1, s2 = (_sigmas(*_window_moments(w, w.lag_l, 2)) for w in (w1, w2))
+        cross_pa - pa1 * pa2, ac.definitional)))
+    # each window's dispersions, matching _NORMALIZED, from the same caches
+    s1, s2 = (_sigmas(*y.moments(2)[0]) for y in (x.x1, x.x2))
     return CorrelationReport(
         window1_start=w1.start,
         window2_start=w2.start,
@@ -438,8 +514,8 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         cross_adj_price=cross_pa,
         cross_return=cross_c / cross_ca,
         **corrs,
-        corr_rU=return_volume_corr(pair).definitional,
-        corr_rp=return_price_corr(pair).definitional,
+        corr_rU=ru.definitional,
+        corr_rp=rp.definitional,
         corr_CaU=cau - ca1 * u2,
         normalized={k: _normalize(c, a, b) for (k, c), a, b in zip(corrs.items(), s1, s2)},
     )

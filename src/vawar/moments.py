@@ -25,14 +25,16 @@ restored afterwards.  The rescaling is exact in real arithmetic (see the
 scale-invariance properties in the tests) and prevents overflow at high
 orders or for extreme trade sizes.
 
-One kernel takes these power sums for every order over the last axis, so
-it serves one window ``(N,)`` and a block of windows ``(B, N)`` alike;
-dispersions and volatilities are views of it.  Each window is summed on
-its own and its scales restored with Python ``float ** int``, so a sweep
-is byte-identical to its windows computed one at a time.  The
-single-order price and adjusted moments are views of a per-window cache
-(``_Units``) that holds each tape series divided by its window mean; the
-correlations read the same cache, one per window of a pair.
+One series cache computes every moment: ``_Ticks`` holds the lag-free
+series of a block of windows, one window per row (a single window is a
+block of one), each divided by its window mean on first use, and
+``_Units`` adds the lagged prices of one return lag.  Each moment is one
+reduction over the last axis, and each window's scales are restored with
+Python ``float ** int``, so a sweep is byte-identical to its windows
+computed one at a time.  ``moment_reports`` runs its blocks of windows
+through the cache; the public moment functions, the dispersions and the
+volatilities are views of a block of one; the correlations read the same
+cache for one window and for a block of shifted windows alike.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from .tape import LagSpec, ResolvedWindow, WindowSpec, resolve
 #: Default cap on moment orders; higher orders warn but still compute.
 DEFAULT_ORDER_CAP = 8
 
-#: Ticks per field that moment_reports holds in one block of windows.
+#: Ticks per field that moment_reports and correlations.pair_sweep hold in
+#: one block of windows.
 BLOCK_ELEMENTS = 2**14
 
 RATIO = "ratio"
@@ -98,67 +101,126 @@ def _weighted(x, w):
     return np.sum(x * w, axis=-1) / np.sum(w, axis=-1)
 
 
-def _return_weights(p, pl, u):
-    # Returns p_i / p_{i-l} and adjusted values C_a,i over their window mean.
-    ca = pl * u
-    return p / pl, ca / np.mean(ca, axis=-1)[..., None]
-
-
 def adjusted_value_series(window: ResolvedWindow, lag_l):
     """Adjusted values C_a(t_i, tau) = p(t_i - tau) U(t_i) over the window."""
     return window.lagged_prices(lag_l) * window.volumes
 
 
+def _block_rows(count):
+    # Windows of count ticks in one block of about BLOCK_ELEMENTS ticks per field
+    return max(1, BLOCK_ELEMENTS // count)
+
+
+def _scaled(scales, xs, n):
+    # scale**n * x of each window: the scales go back in with Python
+    # float ** int, as numpy's array power rounds differently and output
+    # must not depend on how windows are batched
+    return [s**n * x for s, x in zip(scales, xs.tolist())]
+
+
 def _unit_series(series):
-    # A _Units attribute: (window mean, x / mean) of x = series(window, lag_l),
-    # computed on first use and kept
-    def unit(units):
-        x = series(units.window, units.lag_l)
-        s = float(np.mean(x))
-        return s, x / s
+    # A cached attribute: (window means, x / mean) of x = series(cache), the
+    # means as a list of floats, one per row
+    def unit(cache):
+        x = series(cache)
+        s = np.mean(x, axis=-1)
+        return s.tolist(), x / s[..., None]
     return cached_property(unit)
 
 
-class _Units:
-    """One window's tape series, each divided by its window mean once.
+class _Ticks:
+    """The lag-free tape series of a block of windows, one window per row
+    (``(1, N)`` for a single window), each divided by its window mean on
+    first use.
 
     Cross expectations and frequency moments read the cached series; the
-    price and adjusted moments divide prices by the VWAP and weight by the
-    volume series.  Orders are taken unchecked.
+    price moments divide prices by the VWAP and weight by powers of the
+    volume series.  Moments are lists, one float per window; orders are
+    taken unchecked.
     """
 
-    value = _unit_series(lambda w, _: w.values)
-    adjvalue = _unit_series(adjusted_value_series)
-    volume = _unit_series(lambda w, _: w.volumes)
-    price = _unit_series(lambda w, _: w.prices)
-    adjprice = _unit_series(ResolvedWindow.lagged_prices)
+    value = _unit_series(lambda x: x.c)
+    volume = _unit_series(lambda x: x.u)
+    price = _unit_series(lambda x: x.p)
 
-    def __init__(self, window: ResolvedWindow, lag_l):
-        self.window, self.lag_l = window, lag_l
+    def __init__(self, p, u, c):
+        self.p, self.u, self.c = p, u, c
+        self._powers = {}
+
+    @classmethod
+    def of(cls, window: ResolvedWindow):
+        return cls(*(x[None] for x in (window.prices, window.volumes, window.values)))
 
     @cached_property
     def vwap(self):
-        return float(_weighted(self.window.prices, self.window.volumes))
+        v = _weighted(self.p, self.u)
+        return v.tolist(), v[..., None]
 
-    def freq_moment(self, series, n):
-        s, a = getattr(self, series)
-        return s**n * float(np.mean(a**n))
+    def volume_powers(self, n):
+        # (U/Ubar)^n of each window and its sums, kept per order
+        if n not in self._powers:
+            un = self.volume[1] ** n
+            self._powers[n] = un, np.sum(un, axis=-1)
+        return self._powers[n]
+
+    def value_moment(self, n):
+        s, a = self.value
+        return _scaled(s, np.mean(a**n, axis=-1), n)
+
+    def volume_moment(self, n):
+        un, su = self.volume_powers(n)
+        return _scaled(self.volume[0], su / un.shape[-1], n)
 
     def price_moment(self, n):
-        v = self.vwap
-        return v**n * float(_weighted((self.window.prices / v) ** n, self.volume[1] ** n))
+        (v, va), (un, su) = self.vwap, self.volume_powers(n)
+        return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
+
+
+class _Units:
+    """A ``_Ticks`` block at one return lag: the adjusted series and the
+    adjusted and return moments of its lagged prices ``pl``.  Every
+    lag-free attribute is the ticks', so two lags of the same windows
+    divide those series once."""
+
+    adjvalue = _unit_series(lambda x: x.pl * x.u)
+    adjprice = _unit_series(lambda x: x.pl)
+
+    def __init__(self, ticks: _Ticks, pl):
+        self.ticks, self.pl = ticks, pl
+
+    def __getattr__(self, name):
+        return getattr(self.ticks, name)
+
+    @classmethod
+    def of(cls, window: ResolvedWindow, lag_l, ticks=None):
+        """One window at lag lag_l (history checked), on the given ticks
+        of the same window or on its own."""
+        return cls(ticks or _Ticks.of(window), window.lagged_prices(lag_l)[None])
 
     def adjusted_moments(self, n):
-        v, (ub, us) = self.vwap, self.volume
-        un = us**n
-        s = np.sum((self.window.lagged_prices(self.lag_l) / v) ** n * un)
-        return (v * ub) ** n * float(s / us.size), v**n * float(s / np.sum(un))
+        (v, va), (un, su) = self.vwap, self.volume_powers(n)
+        s = np.sum((self.pl / va) ** n * un, axis=-1)
+        return (_scaled([a * b for a, b in zip(v, self.volume[0])], s / un.shape[-1], n),
+                _scaled(v, s / su, n))
+
+    def return_moment(self, n):
+        # r(t,tau;n) of each window, weighted by C_a^n; it needs no scale
+        return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n).tolist()
+
+    def moments(self, top):
+        """The order 1..top moment tuples (C, U, p, C_a, p_a, r) of each
+        window."""
+        by_order = [zip(self.value_moment(n), self.volume_moment(n), self.price_moment(n),
+                        *self.adjusted_moments(n), self.return_moment(n))
+                    for n in range(1, top + 1)]
+        return [tuple(zip(*orders)) for orders in zip(*by_order)]
 
 
 def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
     """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
     n = check_order(n, count=window.count, order_cap=order_cap)
-    return _Units(window, window.lag_l).price_moment(n)
+    [p] = _Ticks.of(window).price_moment(n)
+    return p
 
 
 def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP):
@@ -172,7 +234,8 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    return _Units(window, lag_l).adjusted_moments(n)
+    [ca], [pa] = _Units.of(window, lag_l).adjusted_moments(n)
+    return ca, pa
 
 
 def return_series(window: ResolvedWindow, lag_l, form=RATIO):
@@ -198,58 +261,8 @@ def return_moment(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP)
     r(t,tau;n) = sum r_i^n C_a_i^n / sum C_a_i^n; n = 1 is VaWAR.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    r, w = _return_weights(window.prices, window.lagged_prices(lag_l), window.volumes)
-    return float(_weighted(r**n, w**n))
-
-
-def _unit_moments(p, u, c, pl, top):
-    """Orders 1..top of every moment family of each window, scales divided out.
-
-    Takes prices, volumes, values and lagged prices of one window (1-D) or
-    of a block of windows (2-D, one per row).  Returns the scales (mean
-    value Cbar, VWAP v, mean volume Ubar) and six arrays of shape
-    (..., top): the means of (C/Cbar)^n and (U/Ubar)^n, the
-    (U/Ubar)^n-weighted mean of (p/v)^n, the plain and weighted means of
-    (p_lag/v)^n, and r(t,tau;n), which needs no scale.
-    """
-    count = p.shape[-1]
-    sc = np.mean(c, axis=-1)  # values are > 0, so this is freq_moment's scale
-    v, ub = _weighted(p, u), np.mean(u, axis=-1)  # VWAP and mean volume
-    cs, ps, us, pls = (x / s[..., None] for x, s in ((c, sc), (p, v), (u, ub), (pl, v)))
-    r, w = _return_weights(p, pl, u)
-    rows = []
-    for n in range(1, top + 1):
-        un = us**n
-        su = np.sum(un, axis=-1)
-        sa = np.sum(pls**n * un, axis=-1)
-        rows.append((np.mean(cs**n, axis=-1), su / count, np.sum(ps**n * un, axis=-1) / su,
-                     sa / count, sa / su, _weighted(r**n, w**n)))
-    return (sc, v, ub), [np.stack(family, axis=-1) for family in zip(*rows)]
-
-
-def _restore(sc, v, ub, c, u, p, ca, pa, r):
-    """Moment tuples (C, U, p, C_a, p_a, r) of one window from its unit moments.
-
-    The scales go back in with Python float ** int: numpy's array power
-    rounds differently, and output must not depend on how windows are
-    batched.
-    """
-    orders = range(1, len(r) + 1)
-    return (
-        tuple(sc**n * x for n, x in zip(orders, c)),
-        tuple(ub**n * x for n, x in zip(orders, u)),
-        tuple(v**n * x for n, x in zip(orders, p)),
-        tuple((v * ub) ** n * x for n, x in zip(orders, ca)),
-        tuple(v**n * x for n, x in zip(orders, pa)),
-        tuple(r),
-    )
-
-
-def _window_moments(window: ResolvedWindow, lag_l, top):
-    # Order 1..top moment tuples of one window.
-    scales, unit = _unit_moments(window.prices, window.volumes, window.values,
-                                 window.lagged_prices(lag_l), top)
-    return _restore(*(a.tolist() for a in (*scales, *unit)))
+    [r] = _Units.of(window, lag_l).return_moment(n)
+    return r
 
 
 @dataclass(frozen=True)
@@ -284,7 +297,8 @@ def _sigmas(c, u, p, ca, pa, r):
 def dispersions(window: ResolvedWindow, lag_l) -> Dispersions:
     """Dispersions of values, adjusted values, volumes, and (market-based)
     prices and adjusted prices over the window."""
-    return Dispersions.of(*_window_moments(window, lag_l, 2)[:5])
+    [moments] = _Units.of(window, lag_l).moments(2)
+    return Dispersions.of(*moments[:5])
 
 
 @dataclass(frozen=True)
@@ -309,7 +323,7 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     via_values:   [sigma_C^2 Ca1^2 - sigma_Ca^2 C1^2] / [Ca1^2 Ca2]
     via_prices:   [sigma_p^2 pa1^2 - sigma_pa^2 p1^2] / [pa1^2 pa2]
     """
-    c, u, p, ca, pa, r = _window_moments(window, lag_l, 2)
+    [(c, u, p, ca, pa, r)] = _Units.of(window, lag_l).moments(2)
     s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(c, u, p, ca, pa, r)
     (c1, _), (p1, _), (ca1, ca2), (pa1, pa2) = c, p, ca, pa
     return ReturnVolatility(
@@ -393,15 +407,14 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
         (tape.prices, first), (tape.volumes, first), (tape.values, first),
         (tape.prices, first - lag_l))]
     total = len(fields[0])
-    block = max(1, BLOCK_ELEMENTS // count)
+    block = _block_rows(count)
     reports = []
     for lo in range(0, total, block):
         hi = min(lo + block, total)
         # numpy sums pairwise only along the fast axis in memory; in these
         # copies that is each window's own row, as for a window alone
-        scales, unit = _unit_moments(*(np.ascontiguousarray(f[lo:hi]) for f in fields), top)
-        for k, sums in enumerate(zip(*(a.tolist() for a in (*scales, *unit))), lo):
-            c, u, p, ca, pa, r = _restore(*sums)
+        *ticks, pl = (np.ascontiguousarray(f[lo:hi]) for f in fields)
+        for k, (c, u, p, ca, pa, r) in enumerate(_Units(_Ticks(*ticks), pl).moments(top), lo):
             reports.append(MomentReport(
                 first + k * stride, count, int(lag_l), order_max,
                 c[:order_max], u[:order_max], p[:order_max], ca[:order_max],

@@ -191,3 +191,24 @@ def old_paired_expectation(kind, pair, n=1, m=1):
     leg1, leg2 = kind.split("_")
     (s1, a), (s2, b) = norm(legs[leg1](w1)), norm(legs[leg2](w2))
     return s1**n * s2**m * float(np.mean(a**n * b**m))
+
+
+def old_window_moments(window, lag_l, top):
+    """Order 1..top moment tuples (C, U, p, C_a, p_a, r) of one window as
+    computed before the series cache: every scale divided out in one pass
+    over the window's 1-D series, then restored with Python float ** int."""
+    p, u, c, pl = window.prices, window.volumes, window.values, window.lagged_prices(lag_l)
+    sc, v, ub = float(np.mean(c)), float(np.sum(p * u) / np.sum(u)), float(np.mean(u))
+    cs, ps, us, pls = c / sc, p / v, u / ub, pl / v
+    ca = pl * u
+    r, w = p / pl, ca / np.mean(ca)
+    families = [], [], [], [], [], []
+    for n in range(1, top + 1):
+        un = us**n
+        su, sa = np.sum(un), np.sum(pls**n * un)
+        unit = (np.mean(cs**n), su / p.size, np.sum(ps**n * un) / su, sa / p.size, sa / su,
+                np.sum(r**n * w**n) / np.sum(w**n))
+        scales = (sc**n, ub**n, v**n, (v * ub) ** n, v**n, 1.0)  # r needs no scale
+        for family, s, x in zip(families, scales, unit):
+            family.append(s * float(x))
+    return tuple(tuple(f) for f in families)

@@ -1,22 +1,32 @@
-"""The correlation estimators against the path they replaced, and the
-oracle's independence from the estimator modules.
+"""The correlation estimators and the shift sweep against the path they
+replaced, and the oracle's independence from the estimator modules.
 
 Each estimator is rebuilt as it was computed before the per-window series
 cache: the reference cross expectation ``helpers.old_paired_expectation``
 composed with the checked single-window moment functions.  The
 summation order is unchanged, so the floats must be equal, not close.
+Every row of a ``pair_sweep`` must equal those references on its pair.
 """
 
 import ast
+import io
+import json
 import math
+import warnings
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+from vawar import correlations, moments
+from vawar.cli import main
 from vawar.correlations import (
+    CORR_R,
+    CORR_RP,
+    CORR_RU,
     adjprice_volume_sq_corr,
     correlation_report,
+    pair_sweep,
     pair_windows,
     paired_expectation,
     return_autocorr,
@@ -25,17 +35,23 @@ from vawar.correlations import (
     same_day_two_lag_autocorr,
     self_pair,
 )
+from vawar.errors import InsufficientHistory, MismatchedWindows, OrderTooLarge
 from vawar.moments import (
     adjusted_moments,
     dispersions,
     freq_moment,
+    moment_reports,
     price_moment,
+    return_moment,
     return_volatility,
 )
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, generate, whale_tape
-from vawar.tape import WindowSpec
+from vawar.tape import LagSpec, WindowSpec, resolve, write_csv
 
+from helpers import assert_close, corr_r_anchor, corr_rp_anchor, corr_ru_anchor
 from helpers import old_paired_expectation as pe
+from helpers import old_window_moments
+from oracle import oracle
 
 KINDS = ("value_value", "adjvalue_adjvalue", "volume_volume", "price_price",
          "adjprice_adjprice", "value_volume", "adjvalue_volume")
@@ -202,6 +218,231 @@ class TestOldPath:
             assert rep.corr_r == return_autocorr(pair).definitional
             assert rep.corr_rU == return_volume_corr(pair).definitional
             assert rep.corr_rp == return_price_corr(pair).definitional
+
+
+# Sweeps: window1 is 40 ticks from tick 121 (on the whale tape, the last
+# 40 ticks, ending on the whale), swept back to its last feasible shift
+# start - lag2; lags equal and different.
+SWEEP_LAGS = [(2, 2), (3, 1)]
+SWEEP_COUNT = 40
+
+
+@cache
+def _sweep_tape(name):
+    if name == "whale":
+        return whale_tape(n_small=120)[0]
+    return generate(TAPES[name])
+
+
+def _sweep_window(name):
+    tape = _sweep_tape(name)
+    start = 121 if name != "whale" else len(tape) - SWEEP_COUNT
+    return tape, WindowSpec(start, SWEEP_COUNT)
+
+
+@cache
+def _reference_rows(name, lag1, lag2, n, m, max_shift):
+    # the per-pair references at every shift j = 0..max_shift
+    tape, window = _sweep_window(name)
+    rows = []
+    for j in range(max_shift + 1):
+        pair = pair_windows(tape, window, lag1, lag2, shift_j=j)
+        rows.append((old_return_autocorr(pair), old_return_volume_corr(pair),
+                     old_return_price_corr(pair, n, m)))
+    return rows
+
+
+def _sweep_rows(name, lag1, lag2, n, m, max_shift):
+    tape, window = _sweep_window(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # degree 8 is at the default cap
+        rows = list(pair_sweep(tape, window, lag1, lag2, max_shift,
+                               (CORR_R, CORR_RU, CORR_RP), (n, m)))
+    return [((ac.definitional, ac.value_form, ac.price_form),
+             (ru.definitional, ru.closed_form, ru.closed_form_prices),
+             (rp.definitional, rp.closed_form, rp.degree_n, rp.degree_m))
+            for ac, ru, rp in rows]
+
+
+def _csv_tape(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    sink = io.StringIO()
+    write_csv(_sweep_tape(name), sink)
+    path.write_text(sink.getvalue(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("lag1, lag2", SWEEP_LAGS)
+@pytest.mark.parametrize("name", ["walk", "whale", "decades"])
+class TestPairSweep:
+    # blocks of 1 and 7 shifts (the last one partial) and the default
+    # block, which holds the whole sweep
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_every_shift_equals_its_pair(self, name, lag1, lag2, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(moments, "BLOCK_ELEMENTS", block * SWEEP_COUNT)
+        last = _sweep_window(name)[1].start - lag2
+        assert (last + 1) % 7 != 0
+        rows = _sweep_rows(name, lag1, lag2, 1, 1, last)
+        assert rows == _reference_rows(name, lag1, lag2, 1, 1, last)
+
+    def test_every_degree(self, name, lag1, lag2, monkeypatch):
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 4 * SWEEP_COUNT)
+        for n in DEGREES:
+            for m in DEGREES:
+                got = _sweep_rows(name, lag1, lag2, n, m, 9)
+                assert got == _reference_rows(name, lag1, lag2, n, m, 9), (n, m)
+
+    def test_sampled_shifts_match_oracle(self, name, lag1, lag2):
+        tape, window = _sweep_window(name)
+        last = window.start - lag2
+        n, m = 3, 2
+        rows = list(pair_sweep(tape, window, lag1, lag2, last, (CORR_R, CORR_RU, CORR_RP),
+                               (n, m)))
+        for j in (0, 1, last // 2, last):
+            pair = pair_windows(tape, window, lag1, lag2, shift_j=j)
+            lags = LagSpec(lag_l=lag1, window_shift_j=j)
+            (ac, ru, rp), at = rows[j], f"{name} j={j}"
+            assert_close(ac.definitional, oracle(tape, window, lags, "corr_r", lag2=lag2),
+                         1e-10, abs_floor=1e-12 * corr_r_anchor(pair), msg=at)
+            assert_close(ru.definitional, oracle(tape, window, lags, "corr_rU", lag2=lag2),
+                         1e-10, abs_floor=1e-12 * corr_ru_anchor(pair), msg=at)
+            assert_close(rp.definitional,
+                         oracle(tape, window, lags, "corr_rp", n=n, m=m, lag2=lag2),
+                         1e-10, abs_floor=1e-12 * corr_rp_anchor(pair, n, m), msg=at)
+
+    def test_one_statistic(self, name, lag1, lag2):
+        tape, window = _sweep_window(name)
+        both = pair_sweep(tape, window, lag1, lag2, 5, (CORR_RP, CORR_R), (2, 3))
+        one = pair_sweep(tape, window, lag1, lag2, 5, (CORR_R,), (1, 1))
+        assert list(one) == [(ac,) for _, ac in both]
+
+    def test_float_lags_act_as_their_integers(self, name, lag1, lag2):
+        # the one-pair estimators accept float lags, so the sweep must too
+        tape, window = _sweep_window(name)
+        last = window.start - lag2
+        stats = (CORR_R, CORR_RU, CORR_RP)
+        got = list(pair_sweep(tape, window, float(lag1), float(lag2), last, stats, (2, 1)))
+        assert got == list(pair_sweep(tape, window, lag1, lag2, last, stats, (2, 1)))
+        pair = pair_windows(tape, window, float(lag1), float(lag2), shift_j=last)
+        assert got[-1][0] == return_autocorr(pair)
+
+
+class TestPairSweepErrors:
+    @pytest.mark.parametrize("past", [1, 9])
+    def test_first_infeasible_shift_names_its_window(self, past, monkeypatch):
+        # every shift is checked before any block is computed
+        tape, window = _sweep_window("walk")
+        monkeypatch.setattr(correlations, "_Pairs", None)
+        with pytest.raises(InsufficientHistory,
+                           match=r"^window starting at 1 needs 2 ticks of history$"):
+            pair_sweep(tape, window, 1, 2, window.start - 2 + past, (CORR_R,), (1, 1))
+
+    @pytest.mark.parametrize("command", ["acorr", "xcorr"])
+    def test_cli_exits_1_and_writes_nothing(self, command, tmp_path, capsys):
+        out = tmp_path / "sweep.out"
+        _, window = _sweep_window("walk")
+        status = main([command, _csv_tape(tmp_path, "walk"), "--window", str(window.count),
+                       "--start", str(window.start), "--lag", "3", "--lag2", "2",
+                       "--max-shift", str(window.start - 1), "--out", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"vawar {command}: error: window starting at 1 needs 2 ticks of history\n")
+        assert not out.exists()
+
+    def test_last_feasible_shift_from_cli(self, tmp_path, capsys):
+        _, window = _sweep_window("walk")
+        assert main(["acorr", _csv_tape(tmp_path, "walk"), "--window", str(window.count),
+                     "--start", str(window.start), "--lag", "2",
+                     "--max-shift", str(window.start - 2)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["j"] for r in rows] == list(range(window.start - 1))
+
+    def test_bad_arguments(self):
+        tape, window = _sweep_window("walk")
+        with pytest.raises(MismatchedWindows, match="window2 must not start after window1"):
+            pair_sweep(tape, window, 1, 1, -1, (CORR_R,), (1, 1))
+        with pytest.raises(ValueError, match="corr_x"):
+            pair_sweep(tape, window, 1, 1, 2, ("corr_x",), (1, 1))
+
+    def test_xcorr_order_conditions_warn_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", SWEEP_COUNT)  # a block per shift
+        _, window = _sweep_window("walk")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["xcorr", _csv_tape(tmp_path, "walk"), "--window", str(window.count),
+                         "--start", str(window.start), "--lag", "1", "--max-shift", "6",
+                         "--degree-n", "9"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 14
+        assert [w.category for w in caught] == [OrderTooLarge]
+
+
+def _old_sigmas(moments):
+    return tuple(x[1] - x[0] * x[0] for x in moments)
+
+
+# The window moments against the one-pass formula they replaced
+# (helpers.old_window_moments): 40-tick windows over the sweep tapes, the
+# whale tape's last ones holding the whale.
+@pytest.mark.parametrize("name", ["walk", "whale", "decades"])
+class TestMomentsOldPath:
+    # blocks of 1 and 7 windows (the last one partial) and the default block
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_moment_reports(self, name, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(moments, "BLOCK_ELEMENTS", block * SWEEP_COUNT)
+        tape, lag = _sweep_tape(name), 3
+        reports = moment_reports(tape, WindowSpec(lag, SWEEP_COUNT), lag, 8, 3)
+        assert len(reports) == (len(tape) - SWEEP_COUNT - lag) // 3 + 1
+        assert len(reports) % 7 != 0
+        for rep in reports:
+            window = resolve(tape, WindowSpec(rep.window_start, SWEEP_COUNT), LagSpec(lag))
+            want = old_window_moments(window, lag, 8)
+            got = (rep.value_moments, rep.volume_moments, rep.price_moments,
+                   rep.adj_value_moments, rep.adj_price_moments, rep.return_moments)
+            assert got == want, rep.window_start
+            assert (rep.sigma_C2, rep.sigma_U2, rep.sigma_p2, rep.sigma_Ca2, rep.sigma_pa2,
+                    rep.sigma_r2) == _old_sigmas(want)
+
+    def test_single_window_views(self, name):
+        for pair in _pairs(name):
+            for window in (pair.window1, pair.window2):
+                lag = window.lag_l
+                c, u, p, ca, pa, r = old_window_moments(window, lag, 8)
+                for n in DEGREES:
+                    assert price_moment(window, n) == p[n - 1]
+                    assert adjusted_moments(window, lag, n) == (ca[n - 1], pa[n - 1])
+                    assert return_moment(window, lag, n) == r[n - 1]
+                s_c, s_u, s_p, s_ca, s_pa, s_r = _old_sigmas((c, u, p, ca, pa, r))
+                assert dispersions(window, lag).astuple() == (s_c, s_ca, s_u, s_p, s_pa)
+                vol = return_volatility(window, lag)
+                assert vol.via_moments == s_r
+                assert vol.via_values == (s_c * ca[0] * ca[0] - s_ca * c[0] * c[0]) / (
+                    ca[0] * ca[0] * ca[1])
+                assert vol.via_prices == (s_p * pa[0] * pa[0] - s_pa * p[0] * p[0]) / (
+                    pa[0] * pa[0] * pa[1])
+
+
+def test_report_evaluates_each_cross_expectation_once(monkeypatch):
+    evaluate, evaluated = correlations._cross, []
+
+    def counted(kind, x1, x2, n, m):
+        evaluated.append((kind, n, m))
+        return evaluate(kind, x1, x2, n, m)
+
+    monkeypatch.setattr(correlations, "_cross", counted)
+    tape = _sweep_tape("decades")
+    correlation_report(pair_windows(tape, WindowSpec(len(tape) - 40, 40), 3, 2, shift_j=7))
+    assert sorted(evaluated) == sorted((kind, 1, 1) for kind in KINDS)
+
+
+def test_self_pair_shares_lag_free_series():
+    pair = _pairs("walk")[1]
+    x = self_pair(pair.window1, 2).units
+    assert x.x1.ticks is x.x2.ticks
+    assert x.x1.pl is not x.x2.pl
+    shifted = pair_windows(pair.window1.tape, WindowSpec(pair.window1.start, 40), 1, 1, 1)
+    assert shifted.units.x1.ticks is not shifted.units.x2.ticks
 
 
 def test_oracle_imports_only_errors_and_tape():
