@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidDensityParameter,
     NonPositiveVariance,
     NotIntegrable,
     OrderZero,
     QuadratureDivergence,
 )
-from .reportio import FLOAT_FMT
+from .reportio import write_csv_rows
 
 TAYLOR = "taylor"
 EXPONENTIAL = "exponential"
@@ -105,11 +106,12 @@ class CharFnApprox:
             raise OrderZero(f"approximation order must be >= 1, got {self.order}")
         if len(self.coefficients) != self.order or len(self.moments) != self.order:
             raise ValueError("coefficients and moments must have length = order")
-        if self.damping < 0:
-            raise ValueError(f"damping b must be >= 0, got {self.damping}")
+        if not (self.damping >= 0 and math.isfinite(self.damping)):
+            raise InvalidDensityParameter(
+                f"damping b must be finite and >= 0, got {self.damping}")
         if 2 * self.damping_exponent <= self.order:
-            raise ValueError(
-                f"need 2q > m, got q={self.damping_exponent}, m={self.order}"
+            raise InvalidDensityParameter(
+                f"damping needs 2q > m, got q={self.damping_exponent}, m={self.order}"
             )
 
 
@@ -259,10 +261,13 @@ class GridSpec:
     points: int = R_POINTS
 
     def __post_init__(self):
-        if not (self.r_max > self.r_min):
-            raise ValueError("need r_max > r_min")
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)
+                and self.r_max > self.r_min):
+            raise InvalidDensityParameter(
+                f"grid needs finite r_min < r_max, got {self.r_min} and {self.r_max}")
         if self.points < 9:
-            raise ValueError("need at least 9 grid points")
+            raise InvalidDensityParameter(
+                f"grid needs at least 9 points, got {self.points}")
 
     @classmethod
     def for_approx(cls, approx: CharFnApprox, half_widths=R_HALF_WIDTHS,
@@ -369,6 +374,9 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
         angles = np.outer(rs[lo:hi], xs_pos)
         density[lo:hi] = np.cos(angles) @ re_wq + np.sin(angles) @ im_wq
     density /= math.pi
+    if not np.all(np.isfinite(density)):
+        raise QuadratureDivergence(
+            f"the density is not finite on the grid [{rs[0]:g}, {rs[-1]:g}]")
 
     step = float(rs[1] - rs[0])
     total = float(np.trapezoid(density, dx=step))
@@ -395,10 +403,7 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
 
 def write_density_csv(dens: DensityGrid, stream):
     """Two-column CSV (r, density) with 17-significant-digit floats."""
-    stream.write("r,density\n")
-    line = f"{FLOAT_FMT},{FLOAT_FMT}\n"
-    for r, mu in zip(dens.grid, dens.density):
-        stream.write(line % (r, mu))
+    write_csv_rows(stream, ("r", "density"), zip(dens.grid, dens.density))
 
 
 @dataclass(frozen=True)

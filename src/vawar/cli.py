@@ -21,7 +21,7 @@ from .moments import (
     moment_reports,
     return_moment,
 )
-from .reportio import SCHEMA_VERSION, dumps_json, write_csv_rows
+from .reportio import SCHEMA_VERSION, Records, dumps_json, write_csv_rows
 from .synth import GenConfig, generate, weighting_contrast
 from .tape import (
     DERIVE_VALUE,
@@ -144,43 +144,34 @@ def _cmd_stats(args):
     tape, _ = _load_tape(args)
     reports = moment_reports(tape, WindowSpec(args.start, args.window), args.lag,
                              args.order, args.stride, args.order_cap)
+    rows = [r.csv_row() for r in reports]
     if args.format == JSON:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "subcommand": "stats",
-            "reports": [r.to_dict() for r in reports],
+            "reports": Records(MomentReport.json_fields(args.order), rows),
         }
         _write_text(args.out, dumps_json(doc))
     else:
         sink = io.StringIO()
-        write_csv_rows(
-            sink,
-            MomentReport.csv_header(args.order),
-            [r.csv_row() for r in reports],
-        )
+        write_csv_rows(sink, MomentReport.csv_header(args.order), rows)
         _write_text(args.out, sink.getvalue())
     return 0
 
 
-def _sweep_doc(args, subcommand, rows):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "window_start": args.start,
-        "window_count": args.window,
-        "rows": rows,
-    }
-
-
 def _emit_sweep(args, subcommand, rows):
     if args.format == JSON:
-        _write_text(args.out, dumps_json(_sweep_doc(args, subcommand, rows)))
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "subcommand": subcommand,
+            "window_start": args.start,
+            "window_count": args.window,
+            "rows": Records(_SWEEP_COLUMNS, rows),
+        }
+        _write_text(args.out, dumps_json(doc))
     else:
         sink = io.StringIO()
-        write_csv_rows(
-            sink, _SWEEP_COLUMNS,
-            [[row[c] for c in _SWEEP_COLUMNS] for row in rows],
-        )
+        write_csv_rows(sink, _SWEEP_COLUMNS, rows)
         _write_text(args.out, sink.getvalue())
 
 
@@ -189,13 +180,14 @@ def _shift_rows(args, stats, rows, degrees=(1, 1)):
     :func:`vawar.correlations.pair_sweep` call over ``stats`` (window1's
     series cached once, window2's batched over blocks of shifts).
     ``rows(*results)`` lists (n, m, statistic, value_form, price_form,
-    definitional) per statistic of one shift."""
+    definitional) per statistic of one shift; each sweep row is a tuple of
+    the ``_SWEEP_COLUMNS`` cells."""
     tape, _ = _load_tape(args)
     lag2 = args.lag2 if args.lag2 is not None else args.lag
     sweep = pair_sweep(tape, WindowSpec(args.start, args.window), args.lag, lag2,
                        args.max_shift, stats, degrees)
-    return [dict(zip(_SWEEP_COLUMNS, (j, args.lag, lag2, *stat)))
-            for j, results in enumerate(sweep) for stat in rows(*results)]
+    return [(j, args.lag, lag2, *stat) for j, results in enumerate(sweep)
+            for stat in rows(*results)]
 
 
 def _cmd_acorr(args):
@@ -339,7 +331,7 @@ def build_parser():
     p.add_argument("--damping-q", type=int, default=None)
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=charfn.R_POINTS)
+    p.add_argument("--grid-points", type=_int_at_least(9), default=charfn.R_POINTS)
     p.add_argument("--sidecar", default=None,
                    help="sidecar JSON path (default: <out>.json when --out)")
     _add_output_args(p, formats=())

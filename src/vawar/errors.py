@@ -68,6 +68,10 @@ class QuadratureDivergence(VawarError, ArithmeticError):
     """|Q_m| does not fall below the edge threshold on any reachable grid."""
 
 
+class InvalidDensityParameter(VawarError, ValueError):
+    """A density grid or damping parameter is out of range."""
+
+
 class NonPositiveVariance(VawarError, ValueError):
     """A Gaussian density was requested with variance <= 0."""
 

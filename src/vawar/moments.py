@@ -333,6 +333,7 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     )
 
 
+_HEAD = ("window_start", "window_count", "lag", "order_max")
 _FAMILIES = ("C", "U", "p", "Ca", "pa", "r")
 _SIGMAS = ("sigma_C2", "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2", "sigma_r2")
 
@@ -341,8 +342,9 @@ _SIGMAS = ("sigma_C2", "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2", "sigma_
 class MomentReport:
     """All order-1..m statistics of one window plus its dispersions.
 
-    Moment tuples are indexed by order - 1.  Serializes to a flat JSON
-    object (``to_dict``) and to one CSV row per window (``csv_row``).
+    Moment tuples are indexed by order - 1.  ``csv_row`` is the report as
+    one flat row of cells, which ``json_fields`` lays out as a JSON object
+    (``to_dict``) with one list per moment family.
     """
 
     window_start: int
@@ -362,30 +364,32 @@ class MomentReport:
     sigma_pa2: float
     sigma_r2: float
 
-    def _parts(self):
-        # header fields, moment tuples and sigmas, in output order
-        head = {"window_start": self.window_start, "window_count": self.window_count,
-                "lag": self.lag_l, "order_max": self.order_max}
-        moments = (self.value_moments, self.volume_moments, self.price_moments,
-                   self.adj_value_moments, self.adj_price_moments, self.return_moments)
-        return head, moments, [getattr(self, k) for k in _SIGMAS]
+    @staticmethod
+    def json_fields(order_max):
+        """The JSON layout of ``csv_row``: the header keys, each moment
+        family as a list of ``order_max`` values, and the sigmas."""
+        return (*_HEAD, *((f"{k}_n", order_max) for k in _FAMILIES), *_SIGMAS)
 
     def to_dict(self):
-        head, moments, sigmas = self._parts()
-        head.update((f"{k}_n", list(m)) for k, m in zip(_FAMILIES, moments))
-        head.update(zip(_SIGMAS, sigmas))
-        return head
+        cells, doc = iter(self.csv_row()), {}
+        for key in self.json_fields(self.order_max):
+            name, width = (key, None) if isinstance(key, str) else key
+            doc[name] = next(cells) if width is None else [next(cells) for _ in range(width)]
+        return doc
 
     @staticmethod
     def csv_header(order_max):
-        cols = ["window_start", "window_count", "lag", "order_max"]
+        cols = list(_HEAD)
         for key in _FAMILIES:
             cols += [f"{key}_{n}" for n in range(1, order_max + 1)]
         return cols + list(_SIGMAS)
 
     def csv_row(self):
-        head, moments, sigmas = self._parts()
-        return [*head.values(), *(x for m in moments for x in m), *sigmas]
+        return (self.window_start, self.window_count, self.lag_l, self.order_max,
+                *self.value_moments, *self.volume_moments, *self.price_moments,
+                *self.adj_value_moments, *self.adj_price_moments, *self.return_moments,
+                self.sigma_C2, self.sigma_Ca2, self.sigma_U2, self.sigma_p2, self.sigma_pa2,
+                self.sigma_r2)
 
 
 def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,

@@ -48,7 +48,7 @@ from .errors import (
     ValueMismatch,
     WindowOutOfRange,
 )
-from .reportio import FLOAT_FMT
+from .reportio import write_csv_rows
 
 #: Relative tolerance for a supplied value against price * volume.
 VALUE_REL_TOL = 1e-9
@@ -351,10 +351,7 @@ def write_csv(tape: TradeTape, stream, include_value=True):
     floats (lossless round trip)."""
     k = 4 if include_value else 3
     fields = (tape.times, tape.prices, tape.volumes, tape.values)[:k]
-    stream.write(",".join(_COLUMNS[:k]) + "\n")
-    line = ",".join([FLOAT_FMT] * k) + "\n"
-    for row in zip(*fields):
-        stream.write(line % row)
+    write_csv_rows(stream, _COLUMNS[:k], zip(*fields))
 
 
 def infer_epsilon(text_head: str):

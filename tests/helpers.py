@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
 from vawar.synth import (
@@ -212,3 +215,68 @@ def old_window_moments(window, lag_l, top):
         for family, s, x in zip(families, scales, unit):
             family.append(s * float(x))
     return tuple(tuple(f) for f in families)
+
+
+def old_dumps_json(obj, indent=2):
+    """JSON as written before the template formatter: one recursive call
+    per value, floats as %.17g, non-finite floats as null."""
+    out = []
+
+    def write(obj, level):
+        pad = " " * (indent * level)
+        pad_in = " " * (indent * (level + 1))
+        if obj is None:
+            out.append("null")
+        elif isinstance(obj, bool):
+            out.append("true" if obj else "false")
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj))
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            out.append("%.17g" % obj if math.isfinite(obj) else "null")
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            out.append("{\n")
+            for k, (key, value) in enumerate(obj.items()):
+                out.append(pad_in + json.dumps(str(key)) + ": ")
+                write(value, level + 1)
+                out.append(",\n" if k < len(obj) - 1 else "\n")
+            out.append(pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for k, value in enumerate(obj):
+                out.append(pad_in)
+                write(value, level + 1)
+                out.append(",\n" if k < len(obj) - 1 else "\n")
+            out.append(pad + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    write(obj, 0)
+    return "".join(out) + "\n"
+
+
+def old_csv_cell(x):
+    """One CSV cell as written before the template formatter."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return "%.17g" % x if math.isfinite(x) else ""
+    return str(x)
+
+
+def old_write_csv_rows(stream, header, rows):
+    """A delimited table as written before the template formatter."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(old_csv_cell(x) for x in row) + "\n")

@@ -1,3 +1,4 @@
+import io
 import json
 
 import jsonschema
@@ -6,10 +7,12 @@ import pytest
 
 from vawar import schemas
 from vawar.cli import build_parser, main
-from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, generate
-from vawar.tape import write_csv
+from vawar.moments import MomentReport, moment_reports
+from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
+from vawar.tape import TradeTape, WindowSpec, ingest, write_csv
 
 from conftest import FIXTURE_CSV
+from helpers import old_dumps_json, old_write_csv_rows
 
 
 def run(capsys, *argv):
@@ -288,6 +291,129 @@ class TestDensity:
         )
         assert status == 1  # constant price: sigma_r2 = 0, not integrable
         assert "integrable" in err or "b > 0" in err
+
+
+# (arguments, exit status, text of the error line)
+BAD_DENSITY_ARGUMENTS = [
+    (["--grid-points", "8"], 2, "argument --grid-points: must be >= 9, got 8"),
+    (["--grid-min", "1.5", "--grid-max", "1.0"], 1, "grid needs finite r_min < r_max"),
+    (["--grid-min", "1.2", "--grid-max", "1.2"], 1, "grid needs finite r_min < r_max"),
+    (["--damping-b", "-0.5"], 1, "damping b must be finite and >= 0, got -0.5"),
+    (["--damping-q", "1"], 1, "damping needs 2q > m, got q=1, m=2"),
+]
+
+
+class TestDensityArguments:
+    @pytest.mark.parametrize("extra,status,message", BAD_DENSITY_ARGUMENTS)
+    def test_one_line_error(self, capsys, fixture_csv, tmp_path, extra, status, message):
+        out = tmp_path / "density.csv"
+        argv = ["density", str(fixture_csv), "--window", "3", "--start", "1", "--lag", "1",
+                "--order", "2", "--out", str(out), *extra]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            got = exc.code
+        assert got == status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"vawar density: error: {message}")
+        if status == 1:
+            assert len(err.splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "density.csv.json").exists()
+
+
+def _tape_file(tmp_path, name, tape):
+    path = tmp_path / f"{name}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(tape, fh)
+    return path
+
+
+# Tapes whose reports hold extreme numbers: a whale trade, and prices
+# spanning many decades.
+HOSTILE = {
+    "whale": GenConfig(ticks=120, seed=5, price=WalkPrice(start=40.0, log_vol=0.05),
+                       volume=WhaleVolume(base=2.0, whale_volume=1e9, position=60)),
+    "decades": GenConfig(ticks=120, seed=6, price=WalkPrice(start=1.0, log_vol=0.6),
+                         volume=HeavyTailVolume(base=10.0, shape=1.2)),
+}
+
+
+class TestOutputBytes:
+    """Reports as the recursive writer wrote them from the per-row dicts
+    (``to_dict`` and the sweep row dicts), byte for byte, including rows
+    whose shape differs from their neighbours'."""
+
+    @staticmethod
+    def stats_reference(path, order, stride):
+        tape = ingest(path.read_text(encoding="utf-8"))
+        reports = moment_reports(tape, WindowSpec(3, 12), 1, order, stride)
+        doc = {"schema_version": 1, "subcommand": "stats",
+               "reports": [r.to_dict() for r in reports]}
+        table = io.StringIO()
+        old_write_csv_rows(table, MomentReport.csv_header(order), [r.csv_row() for r in reports])
+        return old_dumps_json(doc), table.getvalue()
+
+    @pytest.mark.filterwarnings("ignore::vawar.errors.OrderExceedsWindow")
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    @pytest.mark.parametrize("order", [1, 8])
+    def test_stats(self, capsys, tmp_path, name, order):
+        path = _tape_file(tmp_path, name, generate(HOSTILE[name]))
+        want_json, want_csv = self.stats_reference(path, order, 1)
+        argv = ["stats", str(path), "--window", "12", "--start", "3", "--lag", "1",
+                "--order", str(order), "--stride", "1"]
+        assert run(capsys, *argv)[1] == want_json
+        assert run(capsys, *argv, "--format", "csv")[1] == want_csv
+
+    def test_stats_non_finite_report(self, capsys, tmp_path):
+        # tick 40 alone carries a value of 3e154: the order-2 value moment of
+        # the one window holding it overflows to inf, which is null in that
+        # report and an empty cell in that row only
+        rng = np.random.default_rng(3)
+        prices = 10.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 90)))
+        volumes = rng.uniform(1.0, 5.0, 90)
+        prices[40] = 3e154 / volumes[40]
+        path = _tape_file(tmp_path, "big", TradeTape.from_arrays(prices, volumes))
+        argv = ["stats", str(path), "--window", "3", "--start", "1", "--lag", "1",
+                "--order", "2", "--stride", "3"]
+        out, table = run(capsys, *argv)[1], run(capsys, *argv, "--format", "csv")[1]
+        tape = ingest(path.read_text(encoding="utf-8"))
+        reports = moment_reports(tape, WindowSpec(1, 3), 1, 2, 3)
+        doc = {"schema_version": 1, "subcommand": "stats",
+               "reports": [r.to_dict() for r in reports]}
+        assert out == old_dumps_json(doc)
+        k = 13  # the window of ticks 40..42
+        assert [("null" in text) for text in out.split("\n    },\n")] == [
+            j == k for j in range(len(reports))]
+        want = io.StringIO()
+        old_write_csv_rows(want, MomentReport.csv_header(2), [r.csv_row() for r in reports])
+        assert table == want.getvalue()
+        rows = table.splitlines()[1:]
+        assert [",," in row or row.endswith(",") for row in rows] == [
+            j == k for j in range(len(reports))]
+
+    @pytest.mark.parametrize("subcommand,extra", [
+        ("acorr", []), ("acorr", ["--lag2", "3"]),
+        ("xcorr", []), ("xcorr", ["--degree-n", "2", "--degree-m", "3"]),
+    ])
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_sweeps(self, capsys, tmp_path, subcommand, extra, name):
+        # the recursive writer wrote the CSV from the same row dicts as the JSON
+        path = _tape_file(tmp_path, name, generate(HOSTILE[name]))
+        argv = [subcommand, str(path), "--window", "20", "--start", "60", "--lag", "1",
+                "--max-shift", "50", *extra]
+        out = run(capsys, *argv)[1]
+        table = run(capsys, *argv, "--format", "csv")[1]
+        doc = json.loads(out, parse_int=float)  # "-0" stays a float
+        assert out == old_dumps_json(doc)
+        columns = table.splitlines()[0].split(",")
+        want = io.StringIO()
+        old_write_csv_rows(want, columns, [[row[c] for c in columns] for row in doc["rows"]])
+        assert table == want.getvalue()
+        if subcommand == "xcorr":  # corr_rp rows have no price form
+            shapes = [(row["statistic"], row["price_form"] is None) for row in doc["rows"]]
+            assert shapes == [("corr_rU", False), ("corr_rp", True)] * 51
 
 
 class TestContrast:
