@@ -53,7 +53,6 @@ from .errors import (
     OrderZero,
     QuadratureDivergence,
     TapeError,
-    UnknownStatistic,
     ValueMismatch,
     VawarError,
     WindowOutOfRange,

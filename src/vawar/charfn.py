@@ -294,6 +294,14 @@ class GridSpec:
         return np.linspace(self.r_min, self.r_max, self.points)
 
 
+#: The keys of a density's sidecar report, in the order it is written.
+SIDECAR_FIELDS = (
+    "order", "coefficients", "damping_b", "damping_q", "moments", "r_min", "r_max",
+    "points", "x_half_width", "x_points", "normalization_residual", "moment_residuals",
+    "negative_mass", "min_density",
+)
+
+
 @dataclass(frozen=True)
 class DensityGrid:
     """Sampled density with its grid and quadrature diagnostics.
@@ -316,22 +324,14 @@ class DensityGrid:
     min_density: float
 
     def sidecar_dict(self):
-        return {
-            "order": self.approx.order,
-            "coefficients": list(self.approx.coefficients),
-            "damping_b": self.approx.damping,
-            "damping_q": self.approx.damping_exponent,
-            "moments": list(self.approx.moments),
-            "r_min": float(self.grid[0]),
-            "r_max": float(self.grid[-1]),
-            "points": int(self.grid.size),
-            "x_half_width": self.x_half_width,
-            "x_points": self.x_points,
-            "normalization_residual": self.normalization_residual,
-            "moment_residuals": list(self.moment_residuals),
-            "negative_mass": self.negative_mass,
-            "min_density": self.min_density,
-        }
+        """The density's metadata, keyed by ``SIDECAR_FIELDS``."""
+        a = self.approx
+        return dict(zip(SIDECAR_FIELDS, (
+            a.order, list(a.coefficients), a.damping, a.damping_exponent, list(a.moments),
+            float(self.grid[0]), float(self.grid[-1]),
+            int(self.grid.size), self.x_half_width, self.x_points,
+            self.normalization_residual, list(self.moment_residuals),
+            self.negative_mass, self.min_density)))
 
 
 def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,

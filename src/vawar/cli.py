@@ -21,7 +21,7 @@ from .moments import (
     moment_reports,
     return_moment,
 )
-from .reportio import SCHEMA_VERSION, Records, dumps_json, write_csv_rows
+from .reportio import SCHEMA_VERSION, Records, columns, dumps_json, write_csv_rows
 from .synth import GenConfig, generate, weighting_contrast
 from .tape import (
     DERIVE_VALUE,
@@ -37,10 +37,18 @@ from .tape import (
 JSON = "json"
 CSV = "csv"
 
-_SWEEP_COLUMNS = (
-    "j", "l1", "l2", "n", "m", "statistic",
-    "value_form", "price_form", "definitional",
-)
+# The layouts of the reports, which vawar.schemas also publishes.  A
+# (name, width) field is a list of width cells (reportio.Records).
+
+#: The window a sweep or contrast report is about, after its envelope.
+WINDOW_HEAD = ("window_start", "window_count")
+#: The columns of an acorr/xcorr sweep row.
+SWEEP_COLUMNS = ("j", "l1", "l2", "n", "m", "statistic", "value_form", "price_form",
+                 "definitional")
+#: The fields of a contrast report, one row.
+CONTRAST_FIELDS = (*WINDOW_HEAD, "lag", "freq_mean_return", "vawar", "gap")
+#: The fields of a validate report.
+VALIDATE_FIELDS = ("valid", "ticks", "epsilon", "error")
 
 
 def _int_at_least(lo):
@@ -82,10 +90,15 @@ def _value_format(args, text):
     return WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
 
 
-def _load_tape(args):
+def _tape_text(args):
+    # the tape's CSV text and its spacing: --epsilon, else inferred from the text
     text = _read_text(args.input)
-    epsilon = args.epsilon if args.epsilon is not None else infer_epsilon(text)
-    return ingest(text, value_format=_value_format(args, text), epsilon=epsilon), epsilon
+    return text, args.epsilon if args.epsilon is not None else infer_epsilon(text)
+
+
+def _load_tape(args):
+    text, epsilon = _tape_text(args)
+    return ingest(text, value_format=_value_format(args, text), epsilon=epsilon)
 
 
 def _add_input_args(sub):
@@ -117,62 +130,53 @@ def _add_output_args(sub, formats=(JSON, CSV)):
                      help="output path; default: standard output")
 
 
+def _document(subcommand, items):
+    # JSON text of a report: its schema_version/subcommand envelope, then items
+    return dumps_json({"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
+                       **dict(items)})
+
+
+def _emit(args, subcommand, fields, rows, records=None, head=()):
+    """Write a report in ``--format``.  CSV: the columns of ``fields``, then
+    ``rows``.  JSON: the envelope and the (key, value) pairs ``head``, then
+    the rows as objects of ``fields`` under the key ``records``, or, when
+    ``records`` is None, the one row's cells as keys of the document."""
+    if args.format == CSV:
+        sink = io.StringIO()
+        write_csv_rows(sink, columns(fields), rows)
+        _write_text(args.out, sink.getvalue())
+        return
+    if records is None:
+        [row] = rows
+        items = [*head, *zip(fields, row)]
+    else:
+        items = [*head, (records, Records(fields, rows))]
+    _write_text(args.out, _document(subcommand, items))
+
+
 def _cmd_validate(args):
-    text = _read_text(args.input)
-    epsilon = args.epsilon if args.epsilon is not None else infer_epsilon(text)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "validate",
-        "valid": True,
-        "ticks": 0,
-        "epsilon": epsilon,
-        "error": None,
-    }
-    status = 0
+    text, epsilon = _tape_text(args)
+    ticks, error = 0, None
     try:
-        tape = ingest(text, value_format=_value_format(args, text), epsilon=epsilon)
-        report["ticks"] = len(tape)
+        ticks = len(ingest(text, value_format=_value_format(args, text), epsilon=epsilon))
     except VawarError as exc:
-        report["valid"] = False
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        status = 1
-    _write_text(args.out, dumps_json(report))
-    return status
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+    cells = (error is None, ticks, epsilon, error)
+    _write_text(args.out, _document("validate", zip(VALIDATE_FIELDS, cells)))
+    return 0 if error is None else 1
 
 
 def _cmd_stats(args):
-    tape, _ = _load_tape(args)
-    reports = moment_reports(tape, WindowSpec(args.start, args.window), args.lag,
+    reports = moment_reports(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
                              args.order, args.stride, args.order_cap)
-    rows = [r.csv_row() for r in reports]
-    if args.format == JSON:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "stats",
-            "reports": Records(MomentReport.json_fields(args.order), rows),
-        }
-        _write_text(args.out, dumps_json(doc))
-    else:
-        sink = io.StringIO()
-        write_csv_rows(sink, MomentReport.csv_header(args.order), rows)
-        _write_text(args.out, sink.getvalue())
+    _emit(args, "stats", MomentReport.json_fields(args.order),
+          [r.csv_row() for r in reports], records="reports")
     return 0
 
 
 def _emit_sweep(args, subcommand, rows):
-    if args.format == JSON:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": subcommand,
-            "window_start": args.start,
-            "window_count": args.window,
-            "rows": Records(_SWEEP_COLUMNS, rows),
-        }
-        _write_text(args.out, dumps_json(doc))
-    else:
-        sink = io.StringIO()
-        write_csv_rows(sink, _SWEEP_COLUMNS, rows)
-        _write_text(args.out, sink.getvalue())
+    _emit(args, subcommand, SWEEP_COLUMNS, rows, records="rows",
+          head=zip(WINDOW_HEAD, (args.start, args.window)))
 
 
 def _shift_rows(args, stats, rows, degrees=(1, 1)):
@@ -181,8 +185,8 @@ def _shift_rows(args, stats, rows, degrees=(1, 1)):
     series cached once, window2's batched over blocks of shifts).
     ``rows(*results)`` lists (n, m, statistic, value_form, price_form,
     definitional) per statistic of one shift; each sweep row is a tuple of
-    the ``_SWEEP_COLUMNS`` cells."""
-    tape, _ = _load_tape(args)
+    the ``SWEEP_COLUMNS`` cells."""
+    tape = _load_tape(args)
     lag2 = args.lag2 if args.lag2 is not None else args.lag
     sweep = pair_sweep(tape, WindowSpec(args.start, args.window), args.lag, lag2,
                        args.max_shift, stats, degrees)
@@ -209,7 +213,7 @@ def _cmd_xcorr(args):
 
 
 def _cmd_density(args):
-    tape, _ = _load_tape(args)
+    tape = _load_tape(args)
     window = resolve(tape, WindowSpec(args.start, args.window),
                      LagSpec(lag_l=args.lag))
     moments = [return_moment(window, args.lag, n) for n in
@@ -232,9 +236,7 @@ def _cmd_density(args):
     if sidecar_path is None and args.out not in (None, "-"):
         sidecar_path = args.out + ".json"
     if sidecar_path is not None:
-        doc = {"schema_version": SCHEMA_VERSION, "subcommand": "density"}
-        doc.update(dens.sidecar_dict())
-        _write_text(sidecar_path, dumps_json(doc))
+        _write_text(sidecar_path, _document("density", dens.sidecar_dict().items()))
     return 0
 
 
@@ -248,30 +250,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_contrast(args):
-    tape, _ = _load_tape(args)
     result = weighting_contrast(
-        tape, WindowSpec(args.start, args.window), LagSpec(lag_l=args.lag)
+        _load_tape(args), WindowSpec(args.start, args.window), LagSpec(lag_l=args.lag)
     )
-    if args.format == JSON:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "contrast",
-            "window_start": args.start,
-            "window_count": args.window,
-            "lag": args.lag,
-        }
-        doc.update(result.to_dict())
-        _write_text(args.out, dumps_json(doc))
-    else:
-        sink = io.StringIO()
-        write_csv_rows(
-            sink,
-            ["window_start", "window_count", "lag",
-             "freq_mean_return", "vawar", "gap"],
-            [[args.start, args.window, args.lag,
-              result.freq_mean_return, result.vawar, result.gap]],
-        )
-        _write_text(args.out, sink.getvalue())
+    row = (args.start, args.window, args.lag, result.freq_mean_return, result.vawar, result.gap)
+    _emit(args, "contrast", CONTRAST_FIELDS, [row])
     return 0
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _block_rows, _sigmas, _Ticks, _Units, check_order
+from .moments import DEFAULT_ORDER_CAP, _block_rows, _power, _sigmas, _Ticks, _Units, check_order
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, require_history, resolve
 
 VALUE_VALUE = "value_value"
@@ -78,7 +78,11 @@ def _cross(kind, x1: _Units, x2: _Units, n, m):
         e = np.sum(a**n * b**m * un, axis=-1) / np.sum(un, axis=-1)
     else:
         e = np.mean(a**n * b**m, axis=-1)
-    return [s1**n * s**m * x for s, x in zip(s2, e.tolist())]
+    e = e.tolist()
+    try:
+        return [s1**n * s**m * x for s, x in zip(s2, e)]
+    except OverflowError:  # as moments._scaled: an overflowing scale is inf
+        return [_power(s1, n) * _power(s, m) * x for s, x in zip(s2, e)]
 
 
 class _Pairs:

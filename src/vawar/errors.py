@@ -80,10 +80,6 @@ class InvalidConfig(VawarError, ValueError):
     """A synthetic-tape configuration is invalid."""
 
 
-class UnknownStatistic(VawarError, ValueError):
-    """The oracle does not implement the requested statistic."""
-
-
 class OrderTooLarge(UserWarning):
     """Requested moment order exceeds the configured cap."""
 

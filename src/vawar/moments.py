@@ -23,7 +23,8 @@ Numerical conditioning: prices are divided by the window VWAP and
 volumes by the mean volume before powers are taken, and the scales are
 restored afterwards.  The rescaling is exact in real arithmetic (see the
 scale-invariance properties in the tests) and prevents overflow at high
-orders or for extreme trade sizes.
+orders or for extreme trade sizes.  A moment that overflows all the same
+(a scale near 1e154 at order 2) is inf, never an error.
 
 One series cache computes every moment: ``_Ticks`` holds the lag-free
 series of a block of windows, one window per row (a single window is a
@@ -39,6 +40,7 @@ cache for one window and for a block of shifted windows alike.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
+from .reportio import columns
 from .tape import LagSpec, ResolvedWindow, WindowSpec, resolve
 
 #: Default cap on moment orders; higher orders warn but still compute.
@@ -93,7 +96,7 @@ def freq_moment(xs, n, order_cap=DEFAULT_ORDER_CAP):
     scale = float(np.mean(np.abs(xs)))  # |x|: return series may be signed
     if scale == 0.0:
         return 0.0
-    return scale**n * float(np.mean((xs / scale) ** n))
+    return _power(scale, n) * float(np.mean((xs / scale) ** n))
 
 
 def _weighted(x, w):
@@ -111,11 +114,24 @@ def _block_rows(count):
     return max(1, BLOCK_ELEMENTS // count)
 
 
+def _power(s, n):
+    # s**n, or inf where Python's float ** int overflows, as numpy's power does
+    try:
+        return s**n
+    except OverflowError:
+        return math.copysign(math.inf, s) if n % 2 else math.inf
+
+
 def _scaled(scales, xs, n):
     # scale**n * x of each window: the scales go back in with Python
     # float ** int, as numpy's array power rounds differently and output
-    # must not depend on how windows are batched
-    return [s**n * x for s, x in zip(scales, xs.tolist())]
+    # must not depend on how windows are batched.  Only a list in which a
+    # power overflows is redone element by element, with that power inf.
+    xs = xs.tolist()
+    try:
+        return [s**n * x for s, x in zip(scales, xs)]
+    except OverflowError:
+        return [_power(s, n) * x for s, x in zip(scales, xs)]
 
 
 def _unit_series(series):
@@ -379,10 +395,7 @@ class MomentReport:
 
     @staticmethod
     def csv_header(order_max):
-        cols = list(_HEAD)
-        for key in _FAMILIES:
-            cols += [f"{key}_{n}" for n in range(1, order_max + 1)]
-        return cols + list(_SIGMAS)
+        return columns(MomentReport.json_fields(order_max))
 
     def csv_row(self):
         return (self.window_start, self.window_count, self.lag_l, self.order_max,

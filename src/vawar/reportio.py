@@ -54,6 +54,17 @@ class Records:
         self.rows = rows
 
 
+def columns(fields):
+    """The CSV header of rows laid out by ``fields`` (as for :class:`Records`):
+    a ``(name, width)`` field is ``width`` columns named by ``name`` with its
+    last character replaced by 1..width (``C_n``: ``C_1``, ``C_2``, ...)."""
+    cols = []
+    for f in fields:
+        name, width = (f, None) if isinstance(f, str) else f
+        cols += [name] if width is None else [f"{name[:-1]}{k}" for k in range(1, width + 1)]
+    return cols
+
+
 class _Text(str):
     """A cell already written in the output format (a nested container)."""
 

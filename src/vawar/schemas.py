@@ -1,159 +1,73 @@
-"""Published JSON schemas for the CLI report formats.
+"""Published JSON schemas (draft 2020-12) of the CLI reports.
 
-Each top-level report carries ``schema_version``; the schemas below are
-draft 2020-12 and are what the test suite validates emitted documents
-against.
+Each schema is built from the layout its report is written from:
+``MomentReport.json_fields``, the sweep, contrast and validate layouts of
+``vawar.cli`` and ``vawar.charfn.SIDECAR_FIELDS``.  A field takes the value
+fragment of its name from ``_VALUES``; a ``(name, width)`` field is a list
+of floats; any other field is a float.  A float is a number or ``null``,
+as the reports write a NaN or infinite float as ``null``.  Every report
+carries ``schema_version``; the test suite validates the documents the CLI
+writes against these schemas.
 """
 
-_NUMBER_OR_NULL = {"type": ["number", "null"]}
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
+from .charfn import SIDECAR_FIELDS
+from .cli import CONTRAST_FIELDS, SWEEP_COLUMNS, VALIDATE_FIELDS, WINDOW_HEAD
+from .moments import MomentReport
+from .reportio import SCHEMA_VERSION
 
-MOMENT_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "window_start", "window_count", "lag", "order_max",
-        "C_n", "U_n", "p_n", "Ca_n", "pa_n", "r_n",
-        "sigma_C2", "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2",
-        "sigma_r2",
-    ],
-    "properties": {
-        "window_start": {"type": "integer", "minimum": 0},
-        "window_count": {"type": "integer", "minimum": 2},
-        "lag": {"type": "integer", "minimum": 1},
-        "order_max": {"type": "integer", "minimum": 1},
-        "C_n": _NUMBER_ARRAY,
-        "U_n": _NUMBER_ARRAY,
-        "p_n": _NUMBER_ARRAY,
-        "Ca_n": _NUMBER_ARRAY,
-        "pa_n": _NUMBER_ARRAY,
-        "r_n": _NUMBER_ARRAY,
-        "sigma_C2": {"type": "number"},
-        "sigma_Ca2": {"type": "number"},
-        "sigma_U2": {"type": "number"},
-        "sigma_p2": {"type": "number"},
-        "sigma_pa2": {"type": "number"},
-        "sigma_r2": {"type": "number"},
-    },
-    "additionalProperties": False,
+
+def _int(lo):
+    return {"type": "integer", "minimum": lo}
+
+
+_FLOAT = {"type": ["number", "null"]}
+_FLOATS = {"type": "array", "items": _FLOAT}
+_VALUES = {
+    "window_start": _int(0), "window_count": _int(2), "lag": _int(1), "order_max": _int(1),
+    "j": _int(0), "l1": _int(1), "l2": _int(1), "n": _int(1), "m": _int(1),
+    "statistic": {"type": "string"},
+    "order": _int(1), "coefficients": _FLOATS, "damping_b": {"type": "number", "minimum": 0},
+    "damping_q": _int(1), "moments": _FLOATS, "points": _int(9),
+    "x_half_width": {"type": "number", "exclusiveMinimum": 0}, "x_points": _int(2),
+    "moment_residuals": _FLOATS,
+    "valid": {"type": "boolean"}, "ticks": _int(0),
+    "error": {"type": ["object", "null"], "required": ["kind", "message"],
+              "properties": {"kind": {"type": "string"}, "message": {"type": "string"}},
+              "additionalProperties": False},
 }
 
-STATS_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "subcommand", "reports"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "subcommand": {"const": "stats"},
-        "reports": {"type": "array", "items": MOMENT_REPORT_SCHEMA},
-    },
-    "additionalProperties": False,
-}
 
-SWEEP_ROW_SCHEMA = {
-    "type": "object",
-    "required": [
-        "j", "l1", "l2", "n", "m", "statistic",
-        "value_form", "price_form", "definitional",
-    ],
-    "properties": {
-        "j": {"type": "integer", "minimum": 0},
-        "l1": {"type": "integer", "minimum": 1},
-        "l2": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 1},
-        "statistic": {"type": "string"},
-        "value_form": _NUMBER_OR_NULL,
-        "price_form": _NUMBER_OR_NULL,
-        "definitional": {"type": "number"},
-    },
-    "additionalProperties": False,
-}
+def _fields(layout):
+    # the value fragment of each field of a layout
+    out = {}
+    for f in layout:
+        name, width = (f, None) if isinstance(f, str) else f
+        out[name] = _VALUES.get(name, _FLOAT) if width is None else _FLOATS
+    return out
 
-SWEEP_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "subcommand", "window_start",
-                 "window_count", "rows"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "subcommand": {"enum": ["acorr", "xcorr"]},
-        "window_start": {"type": "integer", "minimum": 0},
-        "window_count": {"type": "integer", "minimum": 2},
-        "rows": {"type": "array", "items": SWEEP_ROW_SCHEMA},
-    },
-    "additionalProperties": False,
-}
 
-DENSITY_SIDECAR_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "schema_version", "subcommand", "order", "coefficients",
-        "damping_b", "damping_q", "moments", "r_min", "r_max", "points",
-        "x_half_width", "x_points", "normalization_residual",
-        "moment_residuals", "negative_mass", "min_density",
-    ],
-    "properties": {
-        "schema_version": {"const": 1},
-        "subcommand": {"const": "density"},
-        "order": {"type": "integer", "minimum": 1},
-        "coefficients": _NUMBER_ARRAY,
-        "damping_b": {"type": "number", "minimum": 0},
-        "damping_q": {"type": "integer", "minimum": 1},
-        "moments": _NUMBER_ARRAY,
-        "r_min": {"type": "number"},
-        "r_max": {"type": "number"},
-        "points": {"type": "integer", "minimum": 9},
-        "x_half_width": {"type": "number", "exclusiveMinimum": 0},
-        "x_points": {"type": "integer", "minimum": 2},
-        "normalization_residual": {"type": "number"},
-        "moment_residuals": _NUMBER_ARRAY,
-        "negative_mass": {"type": "number"},
-        "min_density": {"type": "number"},
-    },
-    "additionalProperties": False,
-}
+def _object(*parts):
+    # an object of exactly the keys of parts, in order, each with its fragment
+    props = {k: v for part in parts for k, v in part.items()}
+    return {"type": "object", "required": list(props), "properties": props,
+            "additionalProperties": False}
 
-CONTRAST_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "schema_version", "subcommand", "window_start", "window_count",
-        "lag", "freq_mean_return", "vawar", "gap",
-    ],
-    "properties": {
-        "schema_version": {"const": 1},
-        "subcommand": {"const": "contrast"},
-        "window_start": {"type": "integer", "minimum": 0},
-        "window_count": {"type": "integer", "minimum": 2},
-        "lag": {"type": "integer", "minimum": 1},
-        "freq_mean_return": {"type": "number"},
-        "vawar": {"type": "number"},
-        "gap": {"type": "number"},
-    },
-    "additionalProperties": False,
-}
 
-VALIDATE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "subcommand", "valid", "ticks",
-                 "epsilon", "error"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "subcommand": {"const": "validate"},
-        "valid": {"type": "boolean"},
-        "ticks": {"type": "integer", "minimum": 0},
-        "epsilon": {"type": "number"},
-        "error": {
-            "type": ["object", "null"],
-            "required": ["kind", "message"],
-            "properties": {
-                "kind": {"type": "string"},
-                "message": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+def _report(subcommand, *parts):
+    envelope = {"schema_version": {"const": SCHEMA_VERSION}, "subcommand": subcommand}
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            **_object(envelope, *parts)}
+
+
+def _records(key, item):
+    return {key: {"type": "array", "items": item}}
+
+
+MOMENT_REPORT_SCHEMA = _object(_fields(MomentReport.json_fields(1)))
+STATS_SCHEMA = _report({"const": "stats"}, _records("reports", MOMENT_REPORT_SCHEMA))
+SWEEP_ROW_SCHEMA = _object(_fields(SWEEP_COLUMNS))
+SWEEP_SCHEMA = _report({"enum": ["acorr", "xcorr"]}, _fields(WINDOW_HEAD),
+                       _records("rows", SWEEP_ROW_SCHEMA))
+DENSITY_SIDECAR_SCHEMA = _report({"const": "density"}, _fields(SIDECAR_FIELDS))
+CONTRAST_SCHEMA = _report({"const": "contrast"}, _fields(CONTRAST_FIELDS))
+VALIDATE_SCHEMA = _report({"const": "validate"}, _fields(VALIDATE_FIELDS))

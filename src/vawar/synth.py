@@ -252,13 +252,6 @@ class WeightingContrast:
     def gap(self):
         return self.vawar - self.freq_mean_return
 
-    def to_dict(self):
-        return {
-            "freq_mean_return": self.freq_mean_return,
-            "vawar": self.vawar,
-            "gap": self.gap,
-        }
-
 
 def weighting_contrast(tape: TradeTape, window: WindowSpec,
                        lags: LagSpec) -> WeightingContrast:

@@ -280,3 +280,171 @@ def old_write_csv_rows(stream, header, rows):
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(old_csv_cell(x) for x in row) + "\n")
+
+
+# The published schemas as they were written out by hand before they were
+# built from the report layouts; a built schema equals its literal here
+# with every {"type": "number"} widened to number-or-null.
+
+_OLD_NUMBER_OR_NULL = {"type": ["number", "null"]}
+_OLD_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
+
+OLD_MOMENT_REPORT_SCHEMA = {
+    "type": "object",
+    "required": [
+        "window_start", "window_count", "lag", "order_max",
+        "C_n", "U_n", "p_n", "Ca_n", "pa_n", "r_n",
+        "sigma_C2", "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2",
+        "sigma_r2",
+    ],
+    "properties": {
+        "window_start": {"type": "integer", "minimum": 0},
+        "window_count": {"type": "integer", "minimum": 2},
+        "lag": {"type": "integer", "minimum": 1},
+        "order_max": {"type": "integer", "minimum": 1},
+        "C_n": _OLD_NUMBER_ARRAY,
+        "U_n": _OLD_NUMBER_ARRAY,
+        "p_n": _OLD_NUMBER_ARRAY,
+        "Ca_n": _OLD_NUMBER_ARRAY,
+        "pa_n": _OLD_NUMBER_ARRAY,
+        "r_n": _OLD_NUMBER_ARRAY,
+        "sigma_C2": {"type": "number"},
+        "sigma_Ca2": {"type": "number"},
+        "sigma_U2": {"type": "number"},
+        "sigma_p2": {"type": "number"},
+        "sigma_pa2": {"type": "number"},
+        "sigma_r2": {"type": "number"},
+    },
+    "additionalProperties": False,
+}
+
+OLD_STATS_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "subcommand", "reports"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "subcommand": {"const": "stats"},
+        "reports": {"type": "array", "items": OLD_MOMENT_REPORT_SCHEMA},
+    },
+    "additionalProperties": False,
+}
+
+OLD_SWEEP_ROW_SCHEMA = {
+    "type": "object",
+    "required": [
+        "j", "l1", "l2", "n", "m", "statistic",
+        "value_form", "price_form", "definitional",
+    ],
+    "properties": {
+        "j": {"type": "integer", "minimum": 0},
+        "l1": {"type": "integer", "minimum": 1},
+        "l2": {"type": "integer", "minimum": 1},
+        "n": {"type": "integer", "minimum": 1},
+        "m": {"type": "integer", "minimum": 1},
+        "statistic": {"type": "string"},
+        "value_form": _OLD_NUMBER_OR_NULL,
+        "price_form": _OLD_NUMBER_OR_NULL,
+        "definitional": {"type": "number"},
+    },
+    "additionalProperties": False,
+}
+
+OLD_SWEEP_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "subcommand", "window_start",
+                 "window_count", "rows"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "subcommand": {"enum": ["acorr", "xcorr"]},
+        "window_start": {"type": "integer", "minimum": 0},
+        "window_count": {"type": "integer", "minimum": 2},
+        "rows": {"type": "array", "items": OLD_SWEEP_ROW_SCHEMA},
+    },
+    "additionalProperties": False,
+}
+
+OLD_DENSITY_SIDECAR_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": [
+        "schema_version", "subcommand", "order", "coefficients",
+        "damping_b", "damping_q", "moments", "r_min", "r_max", "points",
+        "x_half_width", "x_points", "normalization_residual",
+        "moment_residuals", "negative_mass", "min_density",
+    ],
+    "properties": {
+        "schema_version": {"const": 1},
+        "subcommand": {"const": "density"},
+        "order": {"type": "integer", "minimum": 1},
+        "coefficients": _OLD_NUMBER_ARRAY,
+        "damping_b": {"type": "number", "minimum": 0},
+        "damping_q": {"type": "integer", "minimum": 1},
+        "moments": _OLD_NUMBER_ARRAY,
+        "r_min": {"type": "number"},
+        "r_max": {"type": "number"},
+        "points": {"type": "integer", "minimum": 9},
+        "x_half_width": {"type": "number", "exclusiveMinimum": 0},
+        "x_points": {"type": "integer", "minimum": 2},
+        "normalization_residual": {"type": "number"},
+        "moment_residuals": _OLD_NUMBER_ARRAY,
+        "negative_mass": {"type": "number"},
+        "min_density": {"type": "number"},
+    },
+    "additionalProperties": False,
+}
+
+OLD_CONTRAST_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": [
+        "schema_version", "subcommand", "window_start", "window_count",
+        "lag", "freq_mean_return", "vawar", "gap",
+    ],
+    "properties": {
+        "schema_version": {"const": 1},
+        "subcommand": {"const": "contrast"},
+        "window_start": {"type": "integer", "minimum": 0},
+        "window_count": {"type": "integer", "minimum": 2},
+        "lag": {"type": "integer", "minimum": 1},
+        "freq_mean_return": {"type": "number"},
+        "vawar": {"type": "number"},
+        "gap": {"type": "number"},
+    },
+    "additionalProperties": False,
+}
+
+OLD_VALIDATE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "subcommand", "valid", "ticks",
+                 "epsilon", "error"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "subcommand": {"const": "validate"},
+        "valid": {"type": "boolean"},
+        "ticks": {"type": "integer", "minimum": 0},
+        "epsilon": {"type": "number"},
+        "error": {
+            "type": ["object", "null"],
+            "required": ["kind", "message"],
+            "properties": {
+                "kind": {"type": "string"},
+                "message": {"type": "string"},
+            },
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+}
+
+OLD_SCHEMAS = {
+    "MOMENT_REPORT_SCHEMA": OLD_MOMENT_REPORT_SCHEMA,
+    "STATS_SCHEMA": OLD_STATS_SCHEMA,
+    "SWEEP_ROW_SCHEMA": OLD_SWEEP_ROW_SCHEMA,
+    "SWEEP_SCHEMA": OLD_SWEEP_SCHEMA,
+    "DENSITY_SIDECAR_SCHEMA": OLD_DENSITY_SIDECAR_SCHEMA,
+    "CONTRAST_SCHEMA": OLD_CONTRAST_SCHEMA,
+    "VALIDATE_SCHEMA": OLD_VALIDATE_SCHEMA,
+}

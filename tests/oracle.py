@@ -12,8 +12,12 @@ back by j ticks with lag l2.
 
 from __future__ import annotations
 
-from vawar.errors import InsufficientHistory, UnknownStatistic, WindowOutOfRange
+from vawar.errors import InsufficientHistory, VawarError, WindowOutOfRange
 from vawar.tape import LagSpec, TradeTape, WindowSpec
+
+
+class UnknownStatistic(VawarError, ValueError):
+    """The oracle does not implement the requested statistic."""
 
 
 def _bounds(tape, window, lag, shift=0):

@@ -12,7 +12,7 @@ from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, gene
 from vawar.tape import TradeTape, WindowSpec, ingest, write_csv
 
 from conftest import FIXTURE_CSV
-from helpers import old_dumps_json, old_write_csv_rows
+from helpers import OLD_SCHEMAS, old_dumps_json, old_write_csv_rows
 
 
 def run(capsys, *argv):
@@ -414,6 +414,140 @@ class TestOutputBytes:
         if subcommand == "xcorr":  # corr_rp rows have no price form
             shapes = [(row["statistic"], row["price_form"] is None) for row in doc["rows"]]
             assert shapes == [("corr_rU", False), ("corr_rp", True)] * 51
+
+
+def _walk_with_big_tick(tmp_path, name, price=None, value=None):
+    # test_stats_non_finite_report's 90-tick walk with tick 40's price set to
+    # price, or set so that its value is value; neither: the walk as drawn
+    rng = np.random.default_rng(3)
+    prices = 10.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 90)))
+    volumes = rng.uniform(1.0, 5.0, 90)
+    if value is not None:
+        price = value / volumes[40]
+    if price is not None:
+        prices[40] = price
+    return _tape_file(tmp_path, name, TradeTape.from_arrays(prices, volumes))
+
+
+def _widened(schema):
+    # schema with every unconstrained {"type": "number"} widened to number-or-null
+    if schema == {"type": "number"}:
+        return {"type": ["number", "null"]}
+    if isinstance(schema, dict):
+        return {k: _widened(v) for k, v in schema.items()}
+    if isinstance(schema, list):
+        return [_widened(v) for v in schema]
+    return schema
+
+
+class TestSchemas:
+    """The published schemas, built from the report layouts, against the
+    hand-written literals they replace and the documents the CLI writes."""
+
+    def test_seven_schemas_are_published(self):
+        assert sorted(k for k in vars(schemas) if k.endswith("_SCHEMA")) == sorted(OLD_SCHEMAS)
+
+    @pytest.mark.parametrize("name", sorted(OLD_SCHEMAS))
+    def test_is_a_draft_2020_12_schema(self, name):
+        jsonschema.Draft202012Validator.check_schema(getattr(schemas, name))
+
+    @pytest.mark.parametrize("name", sorted(OLD_SCHEMAS))
+    def test_equals_the_old_literal_widened(self, name):
+        old = OLD_SCHEMAS[name]
+        assert getattr(schemas, name) == _widened(old) != old
+
+    @pytest.mark.filterwarnings("ignore::vawar.errors.OrderExceedsWindow")
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    @pytest.mark.parametrize("order", [1, 8])
+    def test_stats_documents(self, capsys, tmp_path, name, order):
+        # TestOutputBytes.test_stats's documents
+        path = _tape_file(tmp_path, name, generate(HOSTILE[name]))
+        status, out, _ = run(capsys, "stats", str(path), "--window", "12", "--start", "3",
+                             "--lag", "1", "--order", str(order), "--stride", "1")
+        assert status == 0
+        jsonschema.validate(json.loads(out), schemas.STATS_SCHEMA)
+
+    @pytest.mark.parametrize("subcommand,extra", [
+        ("acorr", []), ("acorr", ["--lag2", "3"]),
+        ("xcorr", []), ("xcorr", ["--degree-n", "2", "--degree-m", "3"]),
+    ])
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_sweep_documents(self, capsys, tmp_path, subcommand, extra, name):
+        # TestOutputBytes.test_sweeps's documents
+        path = _tape_file(tmp_path, name, generate(HOSTILE[name]))
+        status, out, _ = run(capsys, subcommand, str(path), "--window", "20", "--start", "60",
+                             "--lag", "1", "--max-shift", "50", *extra)
+        assert status == 0
+        jsonschema.validate(json.loads(out), schemas.SWEEP_SCHEMA)
+
+    def test_non_finite_report(self, capsys, tmp_path):
+        # test_stats_non_finite_report's document: report 13 holds nulls
+        path = _walk_with_big_tick(tmp_path, "big", value=3e154)
+        status, out, _ = run(capsys, "stats", str(path), "--window", "3", "--start", "1",
+                             "--lag", "1", "--order", "2", "--stride", "3")
+        assert status == 0
+        doc = json.loads(out)
+        assert None in doc["reports"][13].values()
+        jsonschema.validate(doc, schemas.STATS_SCHEMA)
+
+    def test_validate_infinite_epsilon(self, capsys, fixture_csv):
+        status, out, _ = run(capsys, "validate", str(fixture_csv), "--epsilon", "inf")
+        assert status == 1
+        doc = json.loads(out)
+        assert doc["epsilon"] is None and doc["valid"] is False
+        jsonschema.validate(doc, schemas.VALIDATE_SCHEMA)
+
+
+class TestScaleOverflow:
+    """A tick priced 3e154 overflows the scale restore s**n of every window
+    that holds it: those moments are inf (null in JSON, an empty CSV cell),
+    and every other row keeps the bytes it has without that price."""
+
+    def test_stats(self, capsys, tmp_path):
+        big = _walk_with_big_tick(tmp_path, "big", price=3e154)
+        walk = _walk_with_big_tick(tmp_path, "walk")
+        argv = ["--window", "3", "--start", "1", "--lag", "1", "--order", "2", "--stride", "3"]
+        status, out, err = run(capsys, "stats", str(big), *argv)
+        assert status == 0 and "Traceback" not in err
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.STATS_SCHEMA)
+        k = 13  # the window of ticks 40..42, the only one that holds tick 40
+        assert [None in r.values() or None in r["C_n"] for r in doc["reports"]] == [
+            j == k for j in range(len(doc["reports"]))]
+        reports = _report_texts(out)
+        clean = _report_texts(run(capsys, "stats", str(walk), *argv)[1])
+        assert [a == b for a, b in zip(reports, clean)] == [j != k for j in range(len(clean))]
+        rows = run(capsys, "stats", str(big), *argv, "--format", "csv")[1].splitlines()
+        clean = run(capsys, "stats", str(walk), *argv, "--format", "csv")[1].splitlines()
+        assert [a == b for a, b in zip(rows, clean)] == [j != k + 1 for j in range(len(clean))]
+
+    def test_xcorr(self, capsys, tmp_path):
+        # window 1's lagged price is tick 40, so every row holds it
+        big = _walk_with_big_tick(tmp_path, "big", price=3e154)
+        status, out, err = run(capsys, "xcorr", str(big), "--window", "3", "--start", "41",
+                               "--lag", "1", "--max-shift", "2", "--degree-n", "3",
+                               "--degree-m", "4")
+        assert status == 0 and "Traceback" not in err
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
+        assert [r["value_form"] is None for r in doc["rows"]] == [False, True] * 3
+
+    def test_xcorr_rows_apart_from_the_tick(self, capsys, tmp_path):
+        # of window 2 (ticks 46-j..48-j) corr_rU reads only the volumes, and
+        # corr_rp the values too, which hold tick 40's price for j = 6..8
+        big = _walk_with_big_tick(tmp_path, "big", price=3e154)
+        walk = _walk_with_big_tick(tmp_path, "walk")
+        argv = ["--window", "3", "--start", "46", "--lag", "1", "--max-shift", "8",
+                "--degree-n", "3", "--degree-m", "4"]
+        status, out, _ = run(capsys, "xcorr", str(big), *argv)
+        assert status == 0
+        jsonschema.validate(json.loads(out), schemas.SWEEP_SCHEMA)
+        rows, clean = _report_texts(out), _report_texts(run(capsys, "xcorr", str(walk), *argv)[1])
+        same = [stat == "U" or j < 6 for j in range(9) for stat in "Up"]
+        assert [a == b for a, b in zip(rows, clean)] == same
+        table = run(capsys, "xcorr", str(big), *argv, "--format", "csv")[1].splitlines()
+        clean = run(capsys, "xcorr", str(walk), *argv, "--format", "csv")[1].splitlines()
+        assert [a == b for a, b in zip(table[1:], clean[1:])] == same
 
 
 class TestContrast:

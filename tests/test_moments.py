@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -54,6 +55,15 @@ class TestFreqMoment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             freq_moment(list(range(1, 15)), 9, order_cap=12)
+
+    def test_overflowing_scale_is_inf(self):
+        # (1e200)**2 overflows Python's float ** int, which raises
+        assert freq_moment([1e200, 1e200], 2) == math.inf
+
+    def test_scaled_redoes_only_an_overflowing_list(self):
+        assert moments._scaled([1e200, 2.0], np.array([1.0, 3.0]), 2) == [math.inf, 12.0]
+        assert moments._scaled([-1e200, 2.0], np.array([1.0, 3.0]), 3) == [-math.inf, 24.0]
+        assert moments._scaled([1e100, 2.0], np.array([1.0, 3.0]), 2) == [1e100**2, 12.0]
 
 
 class TestPriceMoment:

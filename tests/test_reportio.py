@@ -152,6 +152,10 @@ class TestRecords:
         rows = [(1, 1.0, 2.0, 3.0, "a"), (2, 4.0, 5.0, 6.0, "b")]
         assert dumps_json(Records(self.FIELDS, iter(rows))) == old_dumps_json(self.as_dicts(rows))
 
+    def test_columns_of_the_layout(self):
+        assert reportio.columns(("k", ("x_n", 3), ("empty", 0), "tail")) == [
+            "k", "x_1", "x_2", "x_3", "tail"]
+
 
 class TestMomentReports:
     @staticmethod
@@ -192,3 +196,12 @@ class TestMomentReports:
                                  "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2", "sigma_r2"]
             assert doc["Ca_n"] == list(report.adj_value_moments)
             assert doc["sigma_r2"] == report.sigma_r2
+
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_csv_header_names_each_order(self, order):
+        # the header as it was spelled out before it was derived from json_fields
+        families = [f"{k}_{n}" for k in ("C", "U", "p", "Ca", "pa", "r")
+                    for n in range(1, order + 1)]
+        assert MomentReport.csv_header(order) == [
+            "window_start", "window_count", "lag", "order_max", *families, "sigma_C2",
+            "sigma_Ca2", "sigma_U2", "sigma_p2", "sigma_pa2", "sigma_r2"]

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from vawar.errors import InvalidConfig, UnknownStatistic
+from vawar.errors import InvalidConfig
 from vawar.moments import return_moment
-from oracle import oracle, statistics
+from oracle import UnknownStatistic, oracle, statistics
 from vawar.synth import (
     ConstantPrice,
     ConstantVolume,
