@@ -136,22 +136,22 @@ def _document(subcommand, items):
                        **dict(items)})
 
 
-def _emit(args, subcommand, fields, rows, records=None, head=()):
-    """Write a report in ``--format``.  CSV: the columns of ``fields``, then
-    ``rows``.  JSON: the envelope and the (key, value) pairs ``head``, then
-    the rows as objects of ``fields`` under the key ``records``, or, when
-    ``records`` is None, the one row's cells as keys of the document."""
+def _csv(fields, rows):
+    # CSV text of rows laid out by fields: their columns, then the rows
+    sink = io.StringIO()
+    write_csv_rows(sink, columns(fields), rows)
+    return sink.getvalue()
+
+
+def _emit(args, subcommand, key, fields, rows, head=()):
+    """Write a report of rows laid out by ``fields`` in ``--format``.  CSV:
+    the columns, then the rows.  JSON: the envelope and the (key, value)
+    pairs ``head``, then the rows as a list of objects under ``key``."""
     if args.format == CSV:
-        sink = io.StringIO()
-        write_csv_rows(sink, columns(fields), rows)
-        _write_text(args.out, sink.getvalue())
-        return
-    if records is None:
-        [row] = rows
-        items = [*head, *zip(fields, row)]
+        text = _csv(fields, rows)
     else:
-        items = [*head, (records, Records(fields, rows))]
-    _write_text(args.out, _document(subcommand, items))
+        text = _document(subcommand, [*head, (key, Records(fields, rows))])
+    _write_text(args.out, text)
 
 
 def _cmd_validate(args):
@@ -169,13 +169,13 @@ def _cmd_validate(args):
 def _cmd_stats(args):
     reports = moment_reports(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
                              args.order, args.stride, args.order_cap)
-    _emit(args, "stats", MomentReport.json_fields(args.order),
-          [r.csv_row() for r in reports], records="reports")
+    _emit(args, "stats", "reports", MomentReport.json_fields(args.order),
+          [r.csv_row() for r in reports])
     return 0
 
 
 def _emit_sweep(args, subcommand, rows):
-    _emit(args, subcommand, SWEEP_COLUMNS, rows, records="rows",
+    _emit(args, subcommand, "rows", SWEEP_COLUMNS, rows,
           head=zip(WINDOW_HEAD, (args.start, args.window)))
 
 
@@ -254,7 +254,11 @@ def _cmd_contrast(args):
         _load_tape(args), WindowSpec(args.start, args.window), LagSpec(lag_l=args.lag)
     )
     row = (args.start, args.window, args.lag, result.freq_mean_return, result.vawar, result.gap)
-    _emit(args, "contrast", CONTRAST_FIELDS, [row])
+    if args.format == CSV:
+        text = _csv(CONTRAST_FIELDS, [row])
+    else:
+        text = _document("contrast", zip(CONTRAST_FIELDS, row))
+    _write_text(args.out, text)
     return 0
 
 

@@ -11,7 +11,9 @@ adjusted prices are volume-weighted in the same fashion as VWAP:
 Correlations are covariance-like: a product expectation minus the
 product of the matching first-order expectations.  They are NOT
 normalized to [-1, 1]; normalized variants are provided separately as an
-extension (see ``CorrelationReport.normalized``).
+extension (see ``CorrelationReport.normalized``).  A correlation that
+reads a non-finite moment or cross expectation (one that overflowed) is
+NaN in every form.
 
 The estimators deliberately mix weighting schemes exactly as defined:
 return and price expectations are weighted, value/volume expectations
@@ -78,11 +80,15 @@ def _cross(kind, x1: _Units, x2: _Units, n, m):
         e = np.sum(a**n * b**m * un, axis=-1) / np.sum(un, axis=-1)
     else:
         e = np.mean(a**n * b**m, axis=-1)
-    e = e.tolist()
-    try:
-        return [s1**n * s**m * x for s, x in zip(s2, e)]
-    except OverflowError:  # as moments._scaled: an overflowing scale is inf
-        return [_power(s1, n) * _power(s, m) * x for s, x in zip(s2, e)]
+    s1n = _power(s1, n)
+    return [s1n * _power(s, m) * x for s, x in zip(s2, e.tolist())]
+
+
+def _forms(reads, *forms):
+    # an estimator's forms, each NaN when a moment or cross expectation it
+    # reads is not finite: a ratio over an overflowed one would read as 0
+    # or as a plausible finite number
+    return forms if all(map(math.isfinite, reads)) else (math.nan,) * len(forms)
 
 
 class _Pairs:
@@ -220,11 +226,12 @@ def _autocorr(x: _Pairs):
         corr_ca = cross_ca - ca1 * ca2
         corr_p = cross_p - p1 * p2
         corr_pa = cross_pa - pa1 * pa2
-        out.append(ReturnAutocorr(
-            definitional=cross_c / cross_ca - r1 * r2,
-            value_form=(corr_c - r1 * r2 * corr_ca) / cross_ca,
-            price_form=(pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2),
-        ))
+        out.append(ReturnAutocorr(*_forms(
+            (c1, ca1, pa1, p1, cross_c, cross_ca, cross_p, cross_pa, c2, ca2, pa2, p2),
+            cross_c / cross_ca - r1 * r2,
+            (corr_c - r1 * r2 * corr_ca) / cross_ca,
+            (pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2),
+        )))
     return out
 
 
@@ -266,8 +273,9 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     corr_ca = cross_ca - ca1 * ca2
     r1 = c1 / ca1
     r2 = c1 / ca2
-    exact = (sigma_c2 - r1 * r2 * corr_ca) / cross_ca
-    approximation = sigma_c2 / (ca1 * ca2)
+    exact, approximation = _forms((cross_c, cross_ca, c1, ca1, ca2),
+                                  (sigma_c2 - r1 * r2 * corr_ca) / cross_ca,
+                                  sigma_c2 / (ca1 * ca2))
     return TwoLagAutocorr(
         exact=exact, approximation=approximation, residual=exact - approximation
     )
@@ -296,11 +304,12 @@ def _volume_corr(x: _Pairs):
     out = []
     for cu, u2 in zip(x.cross(VALUE_VOLUME), x.x2.volume_moment(1)):
         corr_cu = cu - c1 * u2
-        out.append(ReturnVolumeCorr(
-            definitional=cu / ca1 - r1 * u2,
-            closed_form=corr_cu / ca1,
-            closed_form_prices=corr_cu / (pa1 * u1),
-        ))
+        out.append(ReturnVolumeCorr(*_forms(
+            (c1, u1, ca1, pa1, cu, u2),
+            cu / ca1 - r1 * u2,
+            corr_cu / ca1,
+            corr_cu / (pa1 * u1),
+        )))
     return out
 
 
@@ -339,12 +348,11 @@ def _price_corr(x: _Pairs, n, m):
         p_m = c_m / u_m
         corr_c = cnm - c_n * c_m
         corr_cau = cau - ca_n * u_m
-        out.append(ReturnPriceCorr(
-            definitional=cnm / cau - r_n * p_m,
-            closed_form=(corr_c - r_n * p_m * corr_cau) / cau,
-            degree_n=n,
-            degree_m=m,
-        ))
+        out.append(ReturnPriceCorr(*_forms(
+            (c_n, ca_n, cnm, cau, c_m, u_m),
+            cnm / cau - r_n * p_m,
+            (corr_c - r_n * p_m * corr_cau) / cau,
+        ), degree_n=n, degree_m=m))
     return out
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
-from .reportio import columns
+from .reportio import columns, pairs
 from .tape import LagSpec, ResolvedWindow, WindowSpec, resolve
 
 #: Default cap on moment orders; higher orders warn but still compute.
@@ -125,13 +125,8 @@ def _power(s, n):
 def _scaled(scales, xs, n):
     # scale**n * x of each window: the scales go back in with Python
     # float ** int, as numpy's array power rounds differently and output
-    # must not depend on how windows are batched.  Only a list in which a
-    # power overflows is redone element by element, with that power inf.
-    xs = xs.tolist()
-    try:
-        return [s**n * x for s, x in zip(scales, xs)]
-    except OverflowError:
-        return [_power(s, n) * x for s, x in zip(scales, xs)]
+    # must not depend on how windows are batched
+    return [_power(s, n) * x for s, x in zip(scales, xs.tolist())]
 
 
 def _unit_series(series):
@@ -388,8 +383,7 @@ class MomentReport:
 
     def to_dict(self):
         cells, doc = iter(self.csv_row()), {}
-        for key in self.json_fields(self.order_max):
-            name, width = (key, None) if isinstance(key, str) else key
+        for name, width in pairs(self.json_fields(self.order_max)):
             doc[name] = next(cells) if width is None else [next(cells) for _ in range(width)]
         return doc
 

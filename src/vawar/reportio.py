@@ -50,8 +50,14 @@ class Records:
     """
 
     def __init__(self, fields, rows):
-        self.fields = tuple((f, None) if isinstance(f, str) else tuple(f) for f in fields)
+        self.fields = pairs(fields)
         self.rows = rows
+
+
+def pairs(fields):
+    """The ``(name, width)`` pair of each field of a layout, ``width`` None
+    for a plain name."""
+    return tuple((f, None) if isinstance(f, str) else tuple(f) for f in fields)
 
 
 def columns(fields):
@@ -59,8 +65,7 @@ def columns(fields):
     a ``(name, width)`` field is ``width`` columns named by ``name`` with its
     last character replaced by 1..width (``C_n``: ``C_1``, ``C_2``, ...)."""
     cols = []
-    for f in fields:
-        name, width = (f, None) if isinstance(f, str) else f
+    for name, width in pairs(fields):
         cols += [name] if width is None else [f"{name[:-1]}{k}" for k in range(1, width + 1)]
     return cols
 

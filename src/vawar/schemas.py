@@ -13,7 +13,7 @@ writes against these schemas.
 from .charfn import SIDECAR_FIELDS
 from .cli import CONTRAST_FIELDS, SWEEP_COLUMNS, VALIDATE_FIELDS, WINDOW_HEAD
 from .moments import MomentReport
-from .reportio import SCHEMA_VERSION
+from .reportio import SCHEMA_VERSION, pairs
 
 
 def _int(lo):
@@ -39,11 +39,8 @@ _VALUES = {
 
 def _fields(layout):
     # the value fragment of each field of a layout
-    out = {}
-    for f in layout:
-        name, width = (f, None) if isinstance(f, str) else f
-        out[name] = _VALUES.get(name, _FLOAT) if width is None else _FLOATS
-    return out
+    return {name: _VALUES.get(name, _FLOAT) if width is None else _FLOATS
+            for name, width in pairs(layout)}
 
 
 def _object(*parts):

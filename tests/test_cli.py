@@ -522,7 +522,8 @@ class TestScaleOverflow:
         assert [a == b for a, b in zip(rows, clean)] == [j != k + 1 for j in range(len(clean))]
 
     def test_xcorr(self, capsys, tmp_path):
-        # window 1's lagged price is tick 40, so every row holds it
+        # window 1's lagged price is tick 40, so every row holds it; every
+        # corr_rp reads an overflowed adjusted moment of window 1
         big = _walk_with_big_tick(tmp_path, "big", price=3e154)
         status, out, err = run(capsys, "xcorr", str(big), "--window", "3", "--start", "41",
                                "--lag", "1", "--max-shift", "2", "--degree-n", "3",
@@ -531,6 +532,19 @@ class TestScaleOverflow:
         doc = json.loads(out)
         jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
         assert [r["value_form"] is None for r in doc["rows"]] == [False, True] * 3
+        assert [r["definitional"] is None for r in doc["rows"]] == [False, True] * 3
+
+    def test_acorr_reading_an_overflowed_cross_is_null(self, capsys, tmp_path):
+        # E[Ca Ca2] overflows at every shift: no form is a number, where
+        # dividing by the inf would leave -E[r] E[r2] as the definitional
+        big = _walk_with_big_tick(tmp_path, "big", price=3e154)
+        status, out, _ = run(capsys, "acorr", str(big), "--window", "3", "--start", "41",
+                             "--lag", "1", "--max-shift", "2")
+        assert status == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
+        assert [(r["value_form"], r["price_form"], r["definitional"]) for r in doc["rows"]] == [
+            (None, None, None)] * 3
 
     def test_xcorr_rows_apart_from_the_tick(self, capsys, tmp_path):
         # of window 2 (ticks 46-j..48-j) corr_rU reads only the volumes, and

@@ -183,6 +183,34 @@ class TestReturnAutocorr:
             assert abs(ac.price_form) < 1e-12
 
 
+class TestOverflowedMoments:
+    """Tick 4's lagged price 3e154 overflows window 1's adjusted moments of
+    order 2 and up and the cross expectations of its adjusted values:
+    every correlation reading one is NaN in every form."""
+
+    @pytest.fixture
+    def pair(self):
+        prices = 10.0 + np.arange(12.0) % 3
+        prices[4] = 3e154
+        tape = TradeTape.from_arrays(prices, 2.0 + np.arange(12.0) % 2)
+        return pair_windows(tape, WindowSpec(5, 3), 1, 1, 0)
+
+    def test_return_autocorr(self, pair):
+        ac = return_autocorr(pair)
+        assert [math.isnan(f) for f in (ac.definitional, ac.value_form, ac.price_form)] == [
+            True] * 3
+
+    def test_return_price_corr(self, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rp = return_price_corr(pair, 3, 4)
+        assert math.isnan(rp.definitional) and math.isnan(rp.closed_form)
+
+    def test_two_lag_autocorr(self, pair):
+        res = same_day_two_lag_autocorr(pair.window1, 1, 1)
+        assert math.isnan(res.exact) and math.isnan(res.approximation)
+
+
 class TestTwoLagAutocorr:
     def test_equal_lags_reduce_to_volatility(self, window_a):
         res = same_day_two_lag_autocorr(window_a, 1, 1)

@@ -60,7 +60,7 @@ class TestFreqMoment:
         # (1e200)**2 overflows Python's float ** int, which raises
         assert freq_moment([1e200, 1e200], 2) == math.inf
 
-    def test_scaled_redoes_only_an_overflowing_list(self):
+    def test_scaled_is_inf_only_where_the_scale_overflows(self):
         assert moments._scaled([1e200, 2.0], np.array([1.0, 3.0]), 2) == [math.inf, 12.0]
         assert moments._scaled([-1e200, 2.0], np.array([1.0, 3.0]), 3) == [-math.inf, 24.0]
         assert moments._scaled([1e100, 2.0], np.array([1.0, 3.0]), 2) == [1e100**2, 12.0]
