@@ -43,7 +43,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _block_rows, _power, _sigmas, _Ticks, _Units, check_order
+from .moments import (DEFAULT_ORDER_CAP, _block_rows, _power, _quiet, _sigmas, _Ticks, _Units,
+                      check_order)
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, require_history, resolve
 
 VALUE_VALUE = "value_value"
@@ -70,6 +71,7 @@ CORR_RU = "corr_rU"
 CORR_RP = "corr_rp"
 
 
+@_quiet
 def _cross(kind, x1: _Units, x2: _Units, n, m):
     # paired_expectation of window1's cache x1 with each window of the block
     # cache x2, degrees unchecked: a list of floats, one per window of x2

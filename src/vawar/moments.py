@@ -24,7 +24,7 @@ volumes by the mean volume before powers are taken, and the scales are
 restored afterwards.  The rescaling is exact in real arithmetic (see the
 scale-invariance properties in the tests) and prevents overflow at high
 orders or for extreme trade sizes.  A moment that overflows all the same
-(a scale near 1e154 at order 2) is inf, never an error.
+(a scale near 1e154 at order 2) is inf, never an error or a numpy warning.
 
 One series cache computes every moment: ``_Ticks`` holds the lag-free
 series of a block of windows, one window per row (a single window is a
@@ -114,6 +114,11 @@ def _block_rows(count):
     return max(1, BLOCK_ELEMENTS // count)
 
 
+# The moment kernels' array arithmetic, as a decorator: an overflow is inf
+# (written as null) and inf * 0 is NaN, with no numpy RuntimeWarning.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 def _power(s, n):
     # s**n, or inf where Python's float ** int overflows, as numpy's power does
     try:
@@ -174,14 +179,17 @@ class _Ticks:
             self._powers[n] = un, np.sum(un, axis=-1)
         return self._powers[n]
 
+    @_quiet
     def value_moment(self, n):
         s, a = self.value
         return _scaled(s, np.mean(a**n, axis=-1), n)
 
+    @_quiet
     def volume_moment(self, n):
         un, su = self.volume_powers(n)
         return _scaled(self.volume[0], su / un.shape[-1], n)
 
+    @_quiet
     def price_moment(self, n):
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
         return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
@@ -208,12 +216,14 @@ class _Units:
         of the same window or on its own."""
         return cls(ticks or _Ticks.of(window), window.lagged_prices(lag_l)[None])
 
+    @_quiet
     def adjusted_moments(self, n):
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
         s = np.sum((self.pl / va) ** n * un, axis=-1)
         return (_scaled([a * b for a, b in zip(v, self.volume[0])], s / un.shape[-1], n),
                 _scaled(v, s / su, n))
 
+    @_quiet
     def return_moment(self, n):
         # r(t,tau;n) of each window, weighted by C_a^n; it needs no scale
         return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n).tolist()

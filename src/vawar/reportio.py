@@ -3,14 +3,17 @@
 Every report, JSON or CSV, is written by filling ``%`` templates, one
 template per row shape.  A row is a flat sequence of cells; its shape is
 the type of each cell plus the text of the cells whose text depends on
-their value (strings, bools) and the positions of its non-finite floats.
-The template of a shape holds the keys, the indentation and the fixed
-cells, and a slot per varying number: ``%.17g`` for a float (17
-significant digits round-trip binary64, so identical inputs give
-byte-identical reports) and ``%d`` for an int.  Consecutive rows of one
-shape are written by one ``%`` over a flat tuple of their numbers, up to
-``_CHUNK`` rows at a time, so the formatter recurses over containers and
-shapes, never over the numbers, and holds at most a chunk of them.
+their value (strings, bools) and which of its floats are finite.  The
+template of a shape holds the keys, the indentation and the fixed cells,
+and a slot per varying cell: ``%.17g`` for a float (17 significant digits
+round-trip binary64, so identical inputs give byte-identical reports),
+``%d`` for an int and ``%s`` for a nested container, written per row.
+
+The rows are read in one pass, as runs of one shape: a row of another
+shape, or a run of ``_CHUNK`` rows, closes the run, and a closed run is
+written by one ``%`` over the flat tuple of its numbers.  So the formatter
+recurses over containers and shapes, never over the numbers, and holds at
+most ``_CHUNK`` rows at a time.
 
 Cell rules, the same in every report:
 
@@ -31,8 +34,8 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from functools import lru_cache
-from itertools import chain, compress, islice
+from functools import lru_cache, partial
+from itertools import chain, compress
 
 SCHEMA_VERSION = 1
 
@@ -70,25 +73,16 @@ def columns(fields):
     return cols
 
 
-class _Text(str):
-    """A cell already written in the output format (a nested container)."""
-
-
 _CONTAINERS = (dict, list, tuple, Records)
 
-#: Rows checked against the current shape at once.
+#: Rows held at most in one run, and so in memory, before it is written.
 _CHUNK = 256
 
 # How the cells of one tuple of cell types are written: a kind per cell
-# ("f" float, "d" int, "n" null, "s" written text, "v" text from the value,
-# "c" a container still to be written), the masks of the float and of the
-# "v" cells (None where there are none), and the container positions.
+# ("f" float, "d" int, "n" null, "v" text from the value, "c" text written
+# per row: a JSON container, or in CSV any other object), the masks of the
+# float and of the "v" cells, and the "c" positions.
 _RowType = namedtuple("_RowType", "kinds floats values containers")
-
-
-def _mask(kinds, wanted):
-    mask = tuple(k in wanted for k in kinds)
-    return mask if any(mask) else None
 
 
 @lru_cache(maxsize=256)
@@ -101,45 +95,40 @@ def _row_type(types, json_out):
             kinds.append("d")
         elif t is type(None):
             kinds.append("n")
-        elif issubclass(t, _Text):
-            kinds.append("s")
-        elif not json_out or issubclass(t, (str, int)):  # bool is an int
+        elif issubclass(t, (str, int)):  # bool is an int
             kinds.append("v")
-        elif issubclass(t, _CONTAINERS):
+        elif not json_out or issubclass(t, _CONTAINERS):
             kinds.append("c")
         else:
             raise TypeError(f"cannot serialize {t.__name__}")
-    containers = tuple(i for i, k in enumerate(kinds) if k == "c")
-    return _RowType(tuple(kinds), _mask(kinds, "f"), _mask(kinds, "v"), containers)
-
-
-def _json_value(x):
-    # JSON text of a cell whose text depends on its value
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return json.dumps(x) if isinstance(x, str) else str(x)
+    return _RowType(tuple(kinds), tuple(k == "f" for k in kinds), tuple(k == "v" for k in kinds),
+                    tuple(i for i, k in enumerate(kinds) if k == "c"))
 
 
 def _csv_value(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
+    # CSV text of a cell whose text depends on its value
+    return ("true" if x else "false") if isinstance(x, bool) else str(x)
 
 
-_SLOTS = {"f": FLOAT_FMT, "d": "%d", "s": "%s"}
+def _json_value(x):
+    return json.dumps(x) if isinstance(x, str) else _csv_value(x)
+
+
+_SLOTS = {"f": FLOAT_FMT, "d": "%d", "c": "%s"}
 
 
 @lru_cache(maxsize=256)
 def _template(style, fields, indent, level, shape):
-    """The ``%`` template of a row of ``shape`` in ``style`` ("csv", or a
-    JSON "value", "list", "object" or list-item "record"; an object's
-    ``fields`` are (JSON key text, list width or None) pairs) and the mask
-    of the cells it formats (None: every cell)."""
-    types, texts, finite = shape
+    """The ``%`` template of a row of ``shape`` (its :class:`_RowType`, the
+    text of its "v" cells and whether each float is finite) in ``style``
+    ("csv", or a JSON "value", "list", "object" or list-item "record"; an
+    object's ``fields`` are (JSON key text, list width or None) pairs) and
+    the mask of the cells it formats (None: every cell)."""
+    row_type, texts, finite = shape
     json_out = style != "csv"
     texts, finite = iter(texts), iter(finite)
     cells, slots = [], []
-    for kind in _row_type(types, json_out).kinds:
+    for kind in row_type.kinds:
         if kind == "f" and not next(finite):
             kind = "n"
         slots.append(kind in _SLOTS)
@@ -172,79 +161,42 @@ def _template(style, fields, indent, level, shape):
     return (pad + text + ",\n" if style == "record" else text), slots
 
 
-def _rows(rows, style, fields=None, indent=0, level=0):
-    """Yield the text of ``rows`` (sequences of cells), one template per
-    row shape.
+def _run_text(template, slots, run):
+    # the text of a run of rows of one template: one % over their numbers
+    cells = chain.from_iterable(run)
+    return (template * len(run)) % tuple(compress(cells, slots * len(run)) if slots else cells)
 
-    Rows are taken ``_CHUNK`` at a time: a chunk whose every row has the
-    current shape is checked in bulk, any other chunk row by row, and the
-    rows of one shape in a chunk are written by one ``%``, so memory stays
-    bounded by a chunk."""
+
+def _rows(rows, style, fields=None, indent=0, level=0):
+    """Yield the text of ``rows`` (sequences of cells), one run of rows of
+    one shape, of at most ``_CHUNK`` rows, at a time."""
     json_out = style != "csv"
     render = _json_value if json_out else _csv_value
-    pieces, values = [], []
-    shape = kind = template = slots = None
-    count = 0
-
-    def fits(part):
-        # the cells of part, in order, if each of its rows has the current shape
-        if shape is None:
-            return None
-        types, texts, finite = shape
-        k = len(part)
-        if k > 1 and set(map(len, part)) != {len(types)}:
-            return None
-        cells = list(chain.from_iterable(part)) if k > 1 else part[0]
-        if tuple(map(type, cells)) != types * k:
-            return None
-        if kind.floats and (tuple(map(math.isfinite, compress(cells, kind.floats * k)))
-                            != finite * k):
-            return None
-        if kind.values and tuple(map(render, compress(cells, kind.values * k))) != texts * k:
-            return None
-        return cells
-
-    def flush():
-        nonlocal values, count
-        if count:
-            pieces.append((template * count) % tuple(values))
-            values, count = [], 0
-
-    def start(row):
-        # start a run of row's shape; returns the row with containers written
-        nonlocal shape, kind, template, slots
-        types = tuple(map(type, row))
-        rt = _row_type(types, json_out)
-        if rt.containers:
+    write = partial(_json, indent=indent, level=level + 1) if json_out else str
+    types = shape = None
+    run = []
+    for row in rows:
+        if (row_types := tuple(map(type, row))) != types:
+            types, row_type = row_types, _row_type(row_types, json_out)
+        if row_type.containers:
             row = list(row)
-            for i in rt.containers:
-                row[i] = _Text(_json(row[i], indent, level + 1))
-            types = tuple(map(type, row))
-            rt = _row_type(types, json_out)
-        finite = tuple(map(math.isfinite, compress(row, rt.floats))) if rt.floats else ()
-        texts = tuple(map(render, compress(row, rt.values))) if rt.values else ()
-        flush()
-        shape, kind = (types, texts, finite), rt
-        template, slots = _template(style, fields, indent, level, shape)
-        return row
-
-    def add(part, cells):
-        nonlocal count
-        values.extend(compress(cells, slots * len(part)) if slots else cells)
-        count += len(part)
-
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK)):
-        cells = fits(chunk)
-        if cells is not None:
-            add(chunk, cells)
-        else:
-            for row in chunk:
-                cells = fits((row,))
-                add((row,), start(row) if cells is None else cells)
-        flush()
-        yield from pieces
-        pieces.clear()
+            for i in row_type.containers:
+                row[i] = write(row[i])
+        # the shape, keyed on the raw "v" cells: their text is rendered
+        # only when the shape changes
+        key = (types, tuple(compress(row, row_type.values)),
+               tuple(map(math.isfinite, compress(row, row_type.floats))))
+        if key != shape or len(run) == _CHUNK:
+            if run:
+                yield _run_text(template, slots, run)
+                run = []
+            if key != shape:
+                shape = key
+                texts = tuple(map(render, key[1]))
+                template, slots = _template(style, fields, indent, level, (row_type, texts, key[2]))
+        run.append(row)
+    if run:
+        yield _run_text(template, slots, run)
 
 
 def _key(key):

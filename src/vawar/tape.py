@@ -142,11 +142,6 @@ class TradeTape:
             values = prices * volumes
         return cls(times, prices, volumes, values, epsilon)
 
-    @classmethod
-    def from_ticks(cls, ticks, epsilon):
-        ticks = list(ticks)
-        return cls(*([getattr(t, name) for t in ticks] for name in _COLUMNS), epsilon)
-
     def __len__(self):
         return self.times.shape[0]
 

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -533,6 +534,18 @@ class TestScaleOverflow:
         jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
         assert [r["value_form"] is None for r in doc["rows"]] == [False, True] * 3
         assert [r["definitional"] is None for r in doc["rows"]] == [False, True] * 3
+
+    def test_xcorr_warns_nothing_of_the_overflow(self, capsys, tmp_path):
+        # an overflowed moment is inf by contract: numpy must not warn of
+        # window 1's (p_l / VWAP)**3 overflowing on stderr
+        big = _walk_with_big_tick(tmp_path, "big", price=3e154)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _, _ = run(capsys, "xcorr", str(big), "--window", "3", "--start", "41",
+                               "--lag", "1", "--max-shift", "2", "--degree-n", "3",
+                               "--degree-m", "4")
+        assert status == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_acorr_reading_an_overflowed_cross_is_null(self, capsys, tmp_path):
         # E[Ca Ca2] overflows at every shift: no form is a number, where

@@ -86,6 +86,27 @@ def test_csv_rows_of_other_lengths_in_one_chunk(monkeypatch, chunk):
     assert out.getvalue() == "a,b\n1,2\n3,4\n5\n6,7,8\n9,0.5\n"
 
 
+def test_csv_holds_at_most_a_chunk_of_rows():
+    # each write holds at most _CHUNK rows, and the first comes before the
+    # rows run out: memory is bounded by a chunk, not by the table
+    state = {"exhausted": False, "writes": []}
+
+    def rows():
+        yield from ((k, 0.5, 2.0) for k in range(10_000))
+        state["exhausted"] = True
+
+    class Stream:
+        def write(self, text):
+            state["writes"].append((text.count("\n"), state["exhausted"]))
+
+    write_csv_rows(Stream(), ["k", "x", "y"], rows())
+    header, *writes = state["writes"]
+    assert header == (1, False)
+    assert sum(n for n, _ in writes) == 10_000
+    assert max(n for n, _ in writes) <= reportio._CHUNK
+    assert writes[0][1] is False
+
+
 @pytest.mark.parametrize("doc", [
     NAN, INF, -INF, [NAN, INF, -INF, 1.5],
     {"x": NAN, "y": [INF, {"z": -INF}]},
@@ -143,6 +164,24 @@ class TestRecords:
         doc = {"n": len(rows), "rows": Records(self.FIELDS, rows)}
         want = old_dumps_json({"n": len(rows), "rows": self.as_dicts(rows)})
         assert dumps_json(doc) == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    def test_shapes_alternate_on_every_row(self, monkeypatch, chunk):
+        # a sweep's corr_rU/corr_rp pairs: every row goes back to the shape
+        # before the last one
+        monkeypatch.setattr(reportio, "_CHUNK", chunk)
+        rows = []
+        for j in range(30):
+            rows.append((j, "corr_rU", 0.5 * j, 1.0 / (j + 1), -j * 1e300))
+            rows.append((j, "corr_rp", 2.0 * j, None, 1e-300 * j))
+        rows[13] = (6, "corr_rp", NAN, None, 1.0)
+        fields = ("j", "statistic", "value_form", "price_form", "definitional")
+        want = old_dumps_json({"rows": [dict(zip(fields, r)) for r in rows]})
+        assert dumps_json({"rows": Records(fields, rows)}) == want
+        out, old = io.StringIO(), io.StringIO()
+        write_csv_rows(out, fields, rows)
+        old_write_csv_rows(old, fields, rows)
+        assert out.getvalue() == old.getvalue()
 
     def test_empty(self):
         assert dumps_json({"rows": Records(self.FIELDS, [])}) == old_dumps_json({"rows": []})
