@@ -82,23 +82,24 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _value_format(args, text):
+def _value_format(args, lines):
     # --values, with auto decided by a "value" column in the header
     if args.values == "auto":
-        header = text.splitlines()[0] if text else ""
+        header = lines[0] if lines else ""
         return WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
     return WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
 
 
-def _tape_text(args):
-    # the tape's CSV text and its spacing: --epsilon, else inferred from the text
-    text = _read_text(args.input)
-    return text, args.epsilon if args.epsilon is not None else infer_epsilon(text)
+def _tape_lines(args):
+    # the tape's CSV lines, split once, and its spacing: --epsilon, else
+    # inferred from the first rows
+    lines = _read_text(args.input).splitlines()
+    return lines, args.epsilon if args.epsilon is not None else infer_epsilon(lines)
 
 
 def _load_tape(args):
-    text, epsilon = _tape_text(args)
-    return ingest(text, value_format=_value_format(args, text), epsilon=epsilon)
+    lines, epsilon = _tape_lines(args)
+    return ingest(lines, value_format=_value_format(args, lines), epsilon=epsilon)
 
 
 def _add_input_args(sub):
@@ -155,10 +156,10 @@ def _emit(args, subcommand, key, fields, rows, head=()):
 
 
 def _cmd_validate(args):
-    text, epsilon = _tape_text(args)
+    lines, epsilon = _tape_lines(args)
     ticks, error = 0, None
     try:
-        ticks = len(ingest(text, value_format=_value_format(args, text), epsilon=epsilon))
+        ticks = len(ingest(lines, value_format=_value_format(args, lines), epsilon=epsilon))
     except VawarError as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
     cells = (error is None, ticks, epsilon, error)

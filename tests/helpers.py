@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import numpy as np
+
+from vawar.errors import EmptyTape, MalformedRow, NonFinite, TapeError
 
 from vawar.synth import (
     ConstantVolume,
@@ -16,7 +19,7 @@ from vawar.synth import (
     WhaleVolume,
     generate,
 )
-from vawar.tape import LagSpec, WindowSpec
+from vawar.tape import LagSpec, TradeTape, WindowSpec
 
 
 def assert_close(a, b, rel, abs_floor=0.0, msg=""):
@@ -280,6 +283,60 @@ def old_write_csv_rows(stream, header, rows):
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(old_csv_cell(x) for x in row) + "\n")
+
+
+def old_ingest(source, value_format="derive_value", epsilon=1.0):
+    """A tape read as before the bulk parse: one Python loop over the rows
+    that checks, parses and collects each row's cells in turn."""
+    lines = iter(source if not isinstance(source, str) else source.splitlines())
+    try:
+        header = next(lines)
+    except StopIteration:
+        raise EmptyTape("empty input: missing header") from None
+    columns = [c.strip().lower() for c in header.strip().lstrip("\ufeff").split(",")]
+    if columns[:3] != ["time", "price", "volume"] or len(columns) > 4:
+        raise MalformedRow("row 1: expected header time,price,volume[,value]")
+    has_value = len(columns) == 4 and columns[3] == "value"
+    if len(columns) == 4 and not has_value:
+        raise MalformedRow(f"row 1: fourth column must be 'value', got {columns[3]!r}")
+    if value_format == "with_value" and not has_value:
+        raise MalformedRow("row 1: with_value requires a value column")
+
+    used = 4 if value_format == "with_value" else 3
+    names = ("time", "price", "volume", "value")
+    rows, numbers = array("q"), array("d")
+    for row, line in enumerate(lines, 2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(columns):
+            raise MalformedRow(
+                f"row {row}: expected {len(columns)} columns, got {len(cells)}"
+            )
+        for name, text in zip(names, cells[:used]):
+            try:
+                x = float(text)
+            except ValueError:
+                raise NonFinite(f"row {row}: {name} {text!r} is not a number") from None
+            if not math.isfinite(x):
+                raise NonFinite(f"row {row}: {name} {text!r} is not finite")
+            numbers.append(x)
+        rows.append(row)
+    if not rows:
+        raise EmptyTape("no data rows")
+
+    data = np.frombuffer(numbers).reshape(len(rows), used)
+    with np.errstate(over="ignore"):
+        values = data[:, 3] if used == 4 else data[:, 1] * data[:, 2]
+    try:
+        return TradeTape(data[:, 0], data[:, 1], data[:, 2], values, epsilon)
+    except TapeError as exc:
+        if exc.tick is None:
+            raise
+        where = f"row {rows[exc.tick]}"
+        fault = type(exc)(f"{where}: {exc.detail}")
+        fault.tick, fault.detail = exc.tick, exc.detail
+        raise fault from None
 
 
 # The published schemas as they were written out by hand before they were

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import vawar.tape
 from vawar.errors import (
     EmptyTape,
     InsufficientHistory,
@@ -29,6 +30,9 @@ from vawar.tape import (
 )
 
 from conftest import FIXTURE_CSV
+from helpers import old_ingest
+
+FIELDS = ("times", "prices", "volumes", "values")
 
 
 class TestIngest:
@@ -163,6 +167,110 @@ class TestIngest:
         for field in ("times", "prices", "volumes", "values"):
             assert getattr(original, field).tolist() == getattr(again, field).tolist()
 
+    def test_derive_never_parses_value_cell(self):
+        tape = ingest("time,price,volume,value\n0,2,10,abc\n", DERIVE_VALUE, epsilon=1.0)
+        assert tape.values.tolist() == [20.0]
+
+    @pytest.mark.parametrize("value_format", [DERIVE_VALUE, WITH_VALUE])
+    def test_crlf_reads_as_lf(self, value_format):
+        original = TradeTape.from_arrays([2.0, 3.25, 1e-7], [10.0, 0.5, 3e9], epsilon=0.5)
+        buf = io.StringIO()
+        write_csv(original, buf)
+        text = buf.getvalue()
+        crlf = ingest(text.replace("\n", "\r\n"), value_format, epsilon=0.5)
+        lf = ingest(text, value_format, epsilon=0.5)
+        for field in FIELDS:
+            assert getattr(crlf, field).tobytes() == getattr(lf, field).tobytes()
+
+    @pytest.mark.parametrize("cell, error, message", [
+        ("abc", NonFinite, "row 4505: volume 'abc' is not a number"),
+        ("0", NonPositiveField, "row 4505: volume must be > 0, got 0.0"),
+    ])
+    def test_fault_beyond_first_block_names_row(self, cell, error, message):
+        # tick 4500, after three blank lines: more than one parse block in
+        lines = [f"{i},2,10" for i in range(5000)]
+        lines[4500] = f"4500,2,{cell}"
+        for at in (4000, 10, 0):
+            lines.insert(at, " ")
+        with pytest.raises(error) as info:
+            ingest("time,price,volume\n" + "\n".join(lines) + "\n", DERIVE_VALUE, epsilon=1.0)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_valid_tape_never_walks_rows(self, monkeypatch):
+        def locate(*args):
+            raise AssertionError("a valid tape was walked row by row")
+
+        monkeypatch.setattr(vawar.tape, "_locate_fault", locate)
+        lines = [f"{i},{2 + i % 7},{10 + i % 3},{(2 + i % 7) * (10 + i % 3)}" for i in range(9000)]
+        for at in (8500, 4096, 1, 0):
+            lines.insert(at, "\t")
+        text = "time,price,volume,value\n" + "\n\n".join(lines)
+        for value_format in (DERIVE_VALUE, WITH_VALUE):
+            tape, old = ingest(text, value_format), old_ingest(text, value_format)
+            for field in FIELDS:
+                assert getattr(tape, field).tobytes() == getattr(old, field).tobytes()
+
+
+# Cells that do not parse, parse to a non-finite number, or parse to what
+# a plain number would only through float's own rules.
+ODD_CELLS = ("abc", "nan", "inf", "-inf", "1_0", "1e400", "", " 3 ", "\t2", "+4")
+
+
+@st.composite
+def tape_texts(draw):
+    """CSV text of a short tape, with odd cells, odd lines and line endings."""
+    width = draw(st.sampled_from((3, 4)))
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        price = draw(st.sampled_from((2.0, 0.1, 37.25, 1e-300)))
+        volume = draw(st.sampled_from((10.0, 3.0, 0.7, 1e300)))
+        rows.append([repr(i * 0.5), repr(price), repr(volume), repr(price * volume)][:width])
+    for _ in range(draw(st.integers(0, 3))):
+        cells = draw(st.sampled_from(rows))
+        column = draw(st.integers(0, len(cells) - 1))
+        fault = draw(st.sampled_from(("cell", "pad", "extra", "missing", "zero", "negative",
+                                      "digit")))
+        if fault == "cell":
+            cells[column] = draw(st.sampled_from(ODD_CELLS))
+        elif fault == "pad":
+            cells[column] = f" {cells[column]}\t"
+        elif fault == "extra":
+            cells.append("1")
+        elif fault == "missing" and len(cells) > 1:
+            cells.pop()
+        elif fault in ("zero", "negative"):
+            cells[column] = "0" if fault == "zero" else "-1.5"
+        else:  # one more digit: a bad spacing on a time, a mismatch on a read value
+            cells[column] += "3"
+    lines = [",".join(cells) for cells in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t "))))
+    if draw(st.booleans()):
+        lines[0] = f"  {lines[0]} "
+    header = ",".join(("time", "price", "volume", "value")[:width])
+    if draw(st.booleans()):
+        header = "\ufeff" + header
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return eol.join([header, *lines]) + draw(st.sampled_from(("", eol)))
+
+
+def _outcome(read, text, value_format, stream):
+    # the tape's arrays as bytes, or what the read raised
+    try:
+        tape = read(io.StringIO(text) if stream else text, value_format, epsilon=0.5)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "tick", None), getattr(exc, "detail", None)
+    return tuple(getattr(tape, field).tobytes() for field in FIELDS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=tape_texts(), value_format=st.sampled_from((DERIVE_VALUE, WITH_VALUE)),
+       stream=st.booleans())
+def test_ingest_matches_row_loop(text, value_format, stream):
+    assert (_outcome(ingest, text, value_format, stream)
+            == _outcome(old_ingest, text, value_format, stream))
+
 
 # (column, injected value) of each tick fault; None scales the value just
 # beyond VALUE_REL_TOL
@@ -280,3 +388,12 @@ def test_infer_epsilon():
     assert infer_epsilon(FIXTURE_CSV) == 1.0
     assert infer_epsilon("time,price,volume\n0,1,1\n0.5,1,1\n") == 0.5
     assert infer_epsilon("time,price,volume\n") == 1.0
+
+
+def test_infer_epsilon_reads_three_lines():
+    def lines():
+        yield from ("time,price,volume", "", "2,1,1", " ", "2.25,1,1")
+        raise AssertionError("read past the second data row")
+
+    assert infer_epsilon(lines()) == 0.25
+    assert infer_epsilon(["time,price,volume", "0,1,1"]) == 1.0
