@@ -20,16 +20,17 @@ return and price expectations are weighted, value/volume expectations
 are frequency-based, even when both appear in one formula.
 
 One pair kernel computes the estimators for a block of pairs that share
-window1: window1's series cache (``moments._Units``, one row, built once
-per sweep) against the caches of a block of window2s, one row per shift,
+window1: window1's series cache (``moments._Series``, one row, built once
+per sweep) against the cache of a block of window2s, one row per shift,
 copied from the tape as contiguous ``(B, N)`` rows.  Every window2 mean,
 cross expectation (``_Pairs.cross``) and moment is one reduction over the
 last axis of the block; each estimator's arithmetic then runs per shift
 on Python floats in its formula's order.  A sweep over shifts
 (:func:`pair_sweep`) is therefore bit-identical to its pairs computed one
 at a time, and the one-pair estimators are the kernel on a block of one
-(``PairedWindows.units``).  Within a block each cross expectation is
-evaluated once, however many estimators read it.
+(``PairedWindows.units``); the one-window estimators pair the window with
+itself through :func:`pair_windows`.  Within a block each cross
+expectation is evaluated once, however many estimators read it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
-from .moments import (DEFAULT_ORDER_CAP, _block_rows, _power, _quiet, _sigmas, _Ticks, _Units,
-                      check_order)
-from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, require_history, resolve
+from .moments import DEFAULT_ORDER_CAP, _block_rows, _power, _quiet, _Series, _sigmas, check_order
+from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, resolve
 
 VALUE_VALUE = "value_value"
 ADJVALUE_ADJVALUE = "adjvalue_adjvalue"
@@ -72,7 +72,7 @@ CORR_RP = "corr_rp"
 
 
 @_quiet
-def _cross(kind, x1: _Units, x2: _Units, n, m):
+def _cross(kind, x1: _Series, x2: _Series, n, m):
     # paired_expectation of window1's cache x1 with each window of the block
     # cache x2, degrees unchecked: a list of floats, one per window of x2
     leg1, leg2 = kind.split("_")
@@ -97,7 +97,7 @@ class _Pairs:
     """Window1's series cache ``x1`` paired with each window of a block
     cache ``x2``."""
 
-    def __init__(self, x1: _Units, x2: _Units):
+    def __init__(self, x1: _Series, x2: _Series):
         self.x1, self.x2, self._crosses = x1, x2, {}
 
     def cross(self, kind, n=1, m=1):
@@ -145,11 +145,8 @@ class PairedWindows:
     @cached_property
     def units(self):
         """The pair as the kernel's block of one: window1's series cache
-        and window2's, which shares window1's lag-free series when both
-        hold the same ticks."""
-        w1, w2 = self.window1, self.window2
-        x1 = _Units.of(w1, w1.lag_l)
-        return _Pairs(x1, _Units.of(w2, w2.lag_l, x1.ticks if w2.start == w1.start else None))
+        and window2's."""
+        return _Pairs(_Series.of(self.window1), _Series.of(self.window2))
 
 
 def pair_windows(
@@ -171,16 +168,10 @@ def pair_windows(
     return PairedWindows(window1=w1, window2=w2)
 
 
-def _relag(window: ResolvedWindow, lag_l) -> ResolvedWindow:
-    # The window's ticks with return lag lag_l, its history checked
-    w = ResolvedWindow(window.tape, window.start, window.count, int(lag_l))
-    require_history(w, w.lag_l)
-    return w
-
-
 def self_pair(window: ResolvedWindow, lag2=None) -> PairedWindows:
     """Pair a window with itself (lambda = 0), optionally with a second lag."""
-    return PairedWindows(window, _relag(window, window.lag_l if lag2 is None else lag2))
+    return pair_windows(window.tape, WindowSpec(window.start, window.count), window.lag_l,
+                        int(window.lag_l if lag2 is None else lag2))
 
 
 def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
@@ -193,9 +184,11 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
 
         sum p_1^n p_2^m U_1^n U_2^m / sum U_1^n U_2^m.
     """
-    n, m = (check_order(d, count=pair.count, order_cap=order_cap) for d in degrees)
     if kind not in FREQUENCY_KINDS + MARKET_KINDS:
         raise ValueError(f"unknown paired-expectation kind {kind!r}")
+    n, m = degrees
+    n = check_order(n, count=pair.count, order_cap=order_cap)
+    m = check_order(m, count=pair.count, order_cap=order_cap)
     return pair.units.cross(kind, n, m)[0]
 
 
@@ -267,7 +260,8 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     ``residual`` is exact - approximation, the part attributable to
     correlated adjusted values.
     """
-    x = self_pair(_relag(window, lag1), lag2).units
+    x = pair_windows(window.tape, WindowSpec(window.start, window.count), int(lag1),
+                     int(lag2)).units
     [cross_c], [cross_ca] = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
     [c1] = x.x1.value_moment(1)
     ([ca1], _), ([ca2], _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
@@ -403,7 +397,7 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
         m = check_order(m, count=window.count)
     estimate = {CORR_R: _autocorr, CORR_RU: _volume_corr,
                 CORR_RP: lambda x: _price_corr(x, n, m)}
-    x1, count = _Units.of(w1, w1.lag_l), window.count
+    x1, count = _Series.of(w1), window.count
     step = _block_rows(count)
     p, u, c = (sliding_window_view(f, count) for f in (tape.prices, tape.volumes, tape.values))
 
@@ -411,7 +405,7 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
         starts = window.start - np.arange(lo, min(lo + step, max_shift + 1))
         # Indexing copies each window2 into its own contiguous row, which
         # numpy sums pairwise as it sums a window alone.
-        x = _Pairs(x1, _Units(_Ticks(p[starts], u[starts], c[starts]), p[starts - lag2]))
+        x = _Pairs(x1, _Series(p[starts], u[starts], c[starts], p[starts - lag2]))
         return zip(*(estimate[s](x) for s in stats))
 
     return chain.from_iterable(map(block, range(0, max_shift + 1, step)))
@@ -436,7 +430,7 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     route: corr_CaU(t,tau | t) - pa(t,tau;1) sigma_U^2(t).  Equal in
     exact arithmetic.
     """
-    x = self_pair(_relag(window, lag_l)).units
+    x = pair_windows(window.tape, WindowSpec(window.start, window.count), int(lag_l)).units
     [cau] = x.cross(ADJVALUE_VOLUME)
     [ca1], [pa1] = x.x1.adjusted_moments(1)
     [u1], [u2] = x.x1.volume_moment(1), x.x1.volume_moment(2)
@@ -496,6 +490,11 @@ def _normalize(corr, var1, var2):
     return corr / math.sqrt(var1 * var2)
 
 
+def _corr(cross, a, b):
+    # cross - a * b, NaN when one of the three is not finite
+    return _forms((cross, a, b), cross - a * b)[0]
+
+
 def correlation_report(pair: PairedWindows) -> CorrelationReport:
     """Assemble every cross expectation and correlation of the pair."""
     w1, w2 = pair.window1, pair.window2
@@ -503,17 +502,16 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
     [cross_c], [cross_ca], [cross_u], [cross_p], [cross_pa], [cau] = (x.cross(kind) for kind in (
         VALUE_VALUE, ADJVALUE_ADJVALUE, VOLUME_VOLUME, PRICE_PRICE, ADJPRICE_ADJPRICE,
         ADJVALUE_VOLUME))
-    ([c1], [u1], [p1]), ([c2], [u2], [p2]) = (
-        (y.value_moment(1), y.volume_moment(1), y.price_moment(1))
-        for y in (x.x1, x.x2))
-    ([ca1], [pa1]), ([ca2], [pa2]) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
+    # each window's order-1 and order-2 moment tuples (C, U, p, C_a, p_a, r)
+    m1, m2 = (y.moments(2)[0] for y in (x.x1, x.x2))
+    (c1, u1, p1, ca1, pa1, _), (c2, u2, p2, ca2, pa2, _) = ([t[0] for t in m] for m in (m1, m2))
     # the estimators read the cross expectations above from the same pair
     [ac], [ru], [rp] = _autocorr(x), _volume_corr(x), _price_corr(x, 1, 1)
     corrs = dict(zip(_NORMALIZED, (
-        cross_c - c1 * c2, cross_ca - ca1 * ca2, cross_u - u1 * u2, cross_p - p1 * p2,
-        cross_pa - pa1 * pa2, ac.definitional)))
-    # each window's dispersions, matching _NORMALIZED, from the same caches
-    s1, s2 = (_sigmas(*y.moments(2)[0]) for y in (x.x1, x.x2))
+        _corr(cross_c, c1, c2), _corr(cross_ca, ca1, ca2), _corr(cross_u, u1, u2),
+        _corr(cross_p, p1, p2), _corr(cross_pa, pa1, pa2), ac.definitional)))
+    # each window's dispersions, matching _NORMALIZED
+    s1, s2 = _sigmas(*m1), _sigmas(*m2)
     return CorrelationReport(
         window1_start=w1.start,
         window2_start=w2.start,
@@ -526,10 +524,10 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         cross_volume=cross_u,
         cross_price=cross_p,
         cross_adj_price=cross_pa,
-        cross_return=cross_c / cross_ca,
+        cross_return=_forms((cross_c, cross_ca), cross_c / cross_ca)[0],
         **corrs,
         corr_rU=ru.definitional,
         corr_rp=rp.definitional,
-        corr_CaU=cau - ca1 * u2,
+        corr_CaU=_corr(cau, ca1, u2),
         normalized={k: _normalize(c, a, b) for (k, c), a, b in zip(corrs.items(), s1, s2)},
     )

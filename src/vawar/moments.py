@@ -26,16 +26,16 @@ scale-invariance properties in the tests) and prevents overflow at high
 orders or for extreme trade sizes.  A moment that overflows all the same
 (a scale near 1e154 at order 2) is inf, never an error or a numpy warning.
 
-One series cache computes every moment: ``_Ticks`` holds the lag-free
+One series cache computes every moment: ``_Series`` holds the tape
 series of a block of windows, one window per row (a single window is a
-block of one), each divided by its window mean on first use, and
-``_Units`` adds the lagged prices of one return lag.  Each moment is one
-reduction over the last axis, and each window's scales are restored with
-Python ``float ** int``, so a sweep is byte-identical to its windows
-computed one at a time.  ``moment_reports`` runs its blocks of windows
-through the cache; the public moment functions, the dispersions and the
-volatilities are views of a block of one; the correlations read the same
-cache for one window and for a block of shifted windows alike.
+block of one), at one return lag, each divided by its window mean on
+first use.  Each moment is one reduction over the last axis, and each
+window's scales are restored with Python ``float ** int``, so a sweep is
+byte-identical to its windows computed one at a time.  ``moment_reports``
+runs its blocks of windows through the cache; the public moment
+functions, the dispersions and the volatilities are views of a block of
+one; the correlations read the same cache for one window and for a block
+of shifted windows alike.
 """
 
 from __future__ import annotations
@@ -144,10 +144,11 @@ def _unit_series(series):
     return cached_property(unit)
 
 
-class _Ticks:
-    """The lag-free tape series of a block of windows, one window per row
-    (``(1, N)`` for a single window), each divided by its window mean on
-    first use.
+class _Series:
+    """The tape series of a block of windows, one window per row (``(1, N)``
+    for a single window), at one return lag: prices ``p``, volumes ``u``,
+    values ``c`` and lagged prices ``pl``, each divided by its window mean
+    on first use.
 
     Cross expectations and frequency moments read the cached series; the
     price moments divide prices by the VWAP and weight by powers of the
@@ -158,14 +159,19 @@ class _Ticks:
     value = _unit_series(lambda x: x.c)
     volume = _unit_series(lambda x: x.u)
     price = _unit_series(lambda x: x.p)
+    adjvalue = _unit_series(lambda x: x.pl * x.u)
+    adjprice = _unit_series(lambda x: x.pl)
 
-    def __init__(self, p, u, c):
-        self.p, self.u, self.c = p, u, c
+    def __init__(self, p, u, c, pl):
+        self.p, self.u, self.c, self.pl = p, u, c, pl
         self._powers = {}
 
     @classmethod
-    def of(cls, window: ResolvedWindow):
-        return cls(*(x[None] for x in (window.prices, window.volumes, window.values)))
+    def of(cls, window: ResolvedWindow, lag_l=None):
+        """One window as a block of one, at return lag lag_l (the window's
+        own by default), its history checked."""
+        return cls(*(x[None] for x in (window.prices, window.volumes, window.values,
+                                       window.lagged_prices(lag_l))))
 
     @cached_property
     def vwap(self):
@@ -194,28 +200,6 @@ class _Ticks:
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
         return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
 
-
-class _Units:
-    """A ``_Ticks`` block at one return lag: the adjusted series and the
-    adjusted and return moments of its lagged prices ``pl``.  Every
-    lag-free attribute is the ticks', so two lags of the same windows
-    divide those series once."""
-
-    adjvalue = _unit_series(lambda x: x.pl * x.u)
-    adjprice = _unit_series(lambda x: x.pl)
-
-    def __init__(self, ticks: _Ticks, pl):
-        self.ticks, self.pl = ticks, pl
-
-    def __getattr__(self, name):
-        return getattr(self.ticks, name)
-
-    @classmethod
-    def of(cls, window: ResolvedWindow, lag_l, ticks=None):
-        """One window at lag lag_l (history checked), on the given ticks
-        of the same window or on its own."""
-        return cls(ticks or _Ticks.of(window), window.lagged_prices(lag_l)[None])
-
     @_quiet
     def adjusted_moments(self, n):
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
@@ -240,7 +224,7 @@ class _Units:
 def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
     """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [p] = _Ticks.of(window).price_moment(n)
+    [p] = _Series.of(window).price_moment(n)
     return p
 
 
@@ -255,7 +239,7 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [ca], [pa] = _Units.of(window, lag_l).adjusted_moments(n)
+    [ca], [pa] = _Series.of(window, lag_l).adjusted_moments(n)
     return ca, pa
 
 
@@ -282,7 +266,7 @@ def return_moment(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP)
     r(t,tau;n) = sum r_i^n C_a_i^n / sum C_a_i^n; n = 1 is VaWAR.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [r] = _Units.of(window, lag_l).return_moment(n)
+    [r] = _Series.of(window, lag_l).return_moment(n)
     return r
 
 
@@ -301,25 +285,20 @@ class Dispersions:
     sigma_p2: float
     sigma_pa2: float
 
-    @classmethod
-    def of(cls, c, u, p, ca, pa):
-        """Dispersions from order-1 and order-2 moment tuples."""
-        return cls(*(x[1] - x[0] * x[0] for x in (c, ca, u, p, pa)))
-
     def astuple(self):
         return (self.sigma_C2, self.sigma_Ca2, self.sigma_U2, self.sigma_p2, self.sigma_pa2)
 
 
 def _sigmas(c, u, p, ca, pa, r):
     # The six dispersions, in _SIGMAS order, from order-1 and order-2 moment tuples
-    return (*Dispersions.of(c, u, p, ca, pa).astuple(), r[1] - r[0] * r[0])
+    return tuple(x[1] - x[0] * x[0] for x in (c, ca, u, p, pa, r))
 
 
 def dispersions(window: ResolvedWindow, lag_l) -> Dispersions:
     """Dispersions of values, adjusted values, volumes, and (market-based)
     prices and adjusted prices over the window."""
-    [moments] = _Units.of(window, lag_l).moments(2)
-    return Dispersions.of(*moments[:5])
+    [moments] = _Series.of(window, lag_l).moments(2)
+    return Dispersions(*_sigmas(*moments)[:5])
 
 
 @dataclass(frozen=True)
@@ -344,7 +323,7 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     via_values:   [sigma_C^2 Ca1^2 - sigma_Ca^2 C1^2] / [Ca1^2 Ca2]
     via_prices:   [sigma_p^2 pa1^2 - sigma_pa^2 p1^2] / [pa1^2 pa2]
     """
-    [(c, u, p, ca, pa, r)] = _Units.of(window, lag_l).moments(2)
+    [(c, u, p, ca, pa, r)] = _Series.of(window, lag_l).moments(2)
     s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(c, u, p, ca, pa, r)
     (c1, _), (p1, _), (ca1, ca2), (pa1, pa2) = c, p, ca, pa
     return ReturnVolatility(
@@ -434,8 +413,8 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
         hi = min(lo + block, total)
         # numpy sums pairwise only along the fast axis in memory; in these
         # copies that is each window's own row, as for a window alone
-        *ticks, pl = (np.ascontiguousarray(f[lo:hi]) for f in fields)
-        for k, (c, u, p, ca, pa, r) in enumerate(_Units(_Ticks(*ticks), pl).moments(top), lo):
+        series = _Series(*(np.ascontiguousarray(f[lo:hi]) for f in fields))
+        for k, (c, u, p, ca, pa, r) in enumerate(series.moments(top), lo):
             reports.append(MomentReport(
                 first + k * stride, count, int(lag_l), order_max,
                 c[:order_max], u[:order_max], p[:order_max], ca[:order_max],

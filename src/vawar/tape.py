@@ -232,7 +232,7 @@ class ResolvedWindow:
     def lagged_prices(self, lag_l=None):
         """Prices p(t_i - tau) for each i in the window, read from the
         global tape."""
-        l = self.lag_l if lag_l is None else int(lag_l)
+        l = int(self.lag_l if lag_l is None else lag_l)
         require_history(self, l)
         lo = self.start - l
         return self.tape.prices[lo : lo + self.count]
@@ -260,16 +260,9 @@ def resolve(tape: TradeTape, window: WindowSpec, lags: LagSpec) -> ResolvedWindo
             f"window [{window.start}, {window.start + window.count}) exceeds "
             f"tape of {len(tape)} ticks"
         )
-    if window.start < lags.lag_l:
-        raise InsufficientHistory(
-            f"window starting at {window.start} needs {lags.lag_l} ticks of history"
-        )
-    return ResolvedWindow(
-        tape=tape,
-        start=window.start,
-        count=window.count,
-        lag_l=lags.lag_l,
-    )
+    resolved = ResolvedWindow(tape, window.start, window.count, lags.lag_l)
+    require_history(resolved, resolved.lag_l)
+    return resolved
 
 
 WITH_VALUE = "with_value"

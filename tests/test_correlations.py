@@ -17,8 +17,8 @@ from vawar.correlations import (
     same_day_two_lag_autocorr,
     self_pair,
 )
-from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow
-from vawar.moments import adjusted_moments, freq_moment, return_volatility
+from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow, OrderTooLarge
+from vawar.moments import adjusted_moments, freq_moment, price_moment, return_volatility
 from oracle import oracle
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
@@ -68,6 +68,28 @@ class TestPairedWindows:
         with pytest.raises(InsufficientHistory):
             pair_windows(tape_a, WindowSpec(1, 3), lag1=1, lag2=1, shift_j=1)
 
+    @pytest.mark.parametrize("call", [
+        lambda w, lag: self_pair(w, lag),
+        lambda w, lag: same_day_two_lag_autocorr(w, 1, lag),
+        lambda w, lag: same_day_two_lag_autocorr(w, lag, 1),
+        lambda w, lag: adjprice_volume_sq_corr(w, lag),
+    ], ids=["self_pair", "two_lag_second", "two_lag_first", "adjprice_volume_sq"])
+    @pytest.mark.parametrize("lag, error, message", [
+        (0, ValueError, "lag_l must be >= 1, got 0"),
+        (3, InsufficientHistory, "window starting at 2 needs 3 ticks of history"),
+    ])
+    def test_one_window_pairs_check_each_lag(self, call, lag, error, message):
+        tape = TradeTape.from_arrays(np.linspace(100.0, 110.0, 12), np.full(12, 2.0))
+        window = resolve(tape, WindowSpec(2, 4), LagSpec(1))
+        with pytest.raises(error) as caught:
+            call(window, lag)
+        assert caught.type is error and str(caught.value) == message
+
+    def test_self_pair_second_lag_is_int(self):
+        tape = TradeTape.from_arrays(np.linspace(100.0, 110.0, 12), np.full(12, 2.0))
+        pair = self_pair(resolve(tape, WindowSpec(2, 4), LagSpec(1)), 2.0)
+        assert pair.window2.lag_l == 2 and type(pair.window2.lag_l) is int
+
 
 class TestPairedExpectation:
     def test_fixture_self_products(self, pair_a):
@@ -84,6 +106,21 @@ class TestPairedExpectation:
     def test_unknown_kind(self, pair_a):
         with pytest.raises(ValueError):
             paired_expectation("volume_price", pair_a)
+
+    def test_unknown_kind_raises_before_orders_warn(self, pair_a):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="unknown paired-expectation kind"):
+                paired_expectation("volume_price", pair_a, degrees=(9, 1))
+        assert caught == []
+
+    def test_order_warnings_name_the_caller(self, pair_a):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            paired_expectation("value_value", pair_a, degrees=(9, 4))
+        assert [w.category for w in caught] == [OrderTooLarge, OrderExceedsWindow,
+                                                OrderExceedsWindow]
+        assert {w.filename for w in caught} == {__file__}
 
     @pytest.mark.parametrize(
         "kind",
@@ -209,6 +246,16 @@ class TestOverflowedMoments:
     def test_two_lag_autocorr(self, pair):
         res = same_day_two_lag_autocorr(pair.window1, 1, 1)
         assert math.isnan(res.exact) and math.isnan(res.approximation)
+
+    def test_correlation_report(self, pair):
+        rep = correlation_report(pair)
+        assert math.isinf(rep.cross_adj_value) and math.isinf(rep.cross_adj_price)
+        assert math.isnan(rep.cross_return) and math.isnan(rep.corr_pa)
+        # the value and price legs hold no overflowed moment
+        w = pair.window1
+        c1, p1 = freq_moment(w.values, 1), price_moment(w, 1)
+        assert rep.corr_C == rep.cross_value - c1 * c1
+        assert rep.corr_p == rep.cross_price - p1 * p1
 
 
 class TestTwoLagAutocorr:

@@ -436,15 +436,6 @@ def test_report_evaluates_each_cross_expectation_once(monkeypatch):
     assert sorted(evaluated) == sorted((kind, 1, 1) for kind in KINDS)
 
 
-def test_self_pair_shares_lag_free_series():
-    pair = _pairs("walk")[1]
-    x = self_pair(pair.window1, 2).units
-    assert x.x1.ticks is x.x2.ticks
-    assert x.x1.pl is not x.x2.pl
-    shifted = pair_windows(pair.window1.tape, WindowSpec(pair.window1.start, 40), 1, 1, 1)
-    assert shifted.units.x1.ticks is not shifted.units.x2.ticks
-
-
 def test_oracle_imports_only_errors_and_tape():
     # The oracle anchors the estimators only while it shares no code with them.
     tree = ast.parse((Path(__file__).parent / "oracle.py").read_text(encoding="utf-8"))

@@ -346,6 +346,10 @@ class TestResolve:
         assert window.indices.tolist() == [1, 2, 3]
         assert window.lagged_prices().tolist() == [2.0, 2.0, 4.0]
 
+    def test_float_lag_reads_its_integer_lag(self, tape_a):
+        window = resolve(tape_a, WindowSpec(2, 2), LagSpec(2.0))
+        assert window.lagged_prices().tolist() == window.lagged_prices(2).tolist()
+
     def test_insufficient_history(self, tape_a):
         with pytest.raises(InsufficientHistory):
             resolve(tape_a, WindowSpec(0, 3), LagSpec(1))
