@@ -41,6 +41,7 @@ from .errors import (
     QuadratureDivergence,
 )
 from .reportio import write_csv_rows
+from .tape import integral
 
 TAYLOR = "taylor"
 EXPONENTIAL = "exponential"
@@ -182,7 +183,7 @@ def fit_charfn(moments, b=None, q=None) -> CharFnApprox:
     m = len(a)
     if q is None:
         q = default_damping_exponent(m)
-    q = int(q)
+    q = integral("damping q", q, 1, InvalidDensityParameter)
     if b is None:
         if m == 2 and a[1] > 0:
             b = 0.0
@@ -265,9 +266,8 @@ class GridSpec:
                 and self.r_max > self.r_min):
             raise InvalidDensityParameter(
                 f"grid needs finite r_min < r_max, got {self.r_min} and {self.r_max}")
-        if self.points < 9:
-            raise InvalidDensityParameter(
-                f"grid needs at least 9 points, got {self.points}")
+        object.__setattr__(self, "points",
+                           integral("grid points", self.points, 9, InvalidDensityParameter))
 
     @classmethod
     def for_approx(cls, approx: CharFnApprox, half_widths=R_HALF_WIDTHS,
@@ -345,6 +345,7 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
     an interior overflow) keeps |Q_m| under control.
     """
     _check_integrable(approx)
+    x_points = integral("x_points", x_points, 2, InvalidDensityParameter)
     if x_points % 2:
         raise ValueError("x_points must be even (Hermitian-symmetric grid)")
     if grid is None:

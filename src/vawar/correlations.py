@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
 from .moments import DEFAULT_ORDER_CAP, _block_rows, _power, _quiet, _Series, _sigmas, check_order
-from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, resolve
+from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, integral, resolve
 
 VALUE_VALUE = "value_value"
 ADJVALUE_ADJVALUE = "adjvalue_adjvalue"
@@ -157,21 +157,16 @@ def pair_windows(
     window1 starts at window.start with return lag lag1; window2 starts
     shift_j ticks earlier with return lag lag2 (defaults to lag1).
     """
-    if lag2 is None:
-        lag2 = lag1
     w1 = resolve(tape, window, LagSpec(lag_l=lag1))
-    w2 = resolve(
-        tape,
-        WindowSpec(start=window.start - shift_j, count=window.count),
-        LagSpec(lag_l=lag2),
-    )
+    j = integral("shift_j", shift_j, -math.inf)  # PairedWindows rejects j < 0
+    w2 = resolve(tape, WindowSpec(window.start - j, window.count),
+                 LagSpec(lag_l=lag1 if lag2 is None else lag2))
     return PairedWindows(window1=w1, window2=w2)
 
 
 def self_pair(window: ResolvedWindow, lag2=None) -> PairedWindows:
     """Pair a window with itself (lambda = 0), optionally with a second lag."""
-    return pair_windows(window.tape, WindowSpec(window.start, window.count), window.lag_l,
-                        int(window.lag_l if lag2 is None else lag2))
+    return pair_windows(window.tape, WindowSpec(window.start, window.count), window.lag_l, lag2)
 
 
 def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
@@ -260,8 +255,7 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     ``residual`` is exact - approximation, the part attributable to
     correlated adjusted values.
     """
-    x = pair_windows(window.tape, WindowSpec(window.start, window.count), int(lag1),
-                     int(lag2)).units
+    x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag1, lag2).units
     [cross_c], [cross_ca] = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
     [c1] = x.x1.value_moment(1)
     ([ca1], _), ([ca2], _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
@@ -385,12 +379,14 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
     unknown = set(stats) - {CORR_R, CORR_RU, CORR_RP}
     if unknown:
         raise ValueError(f"unknown sweep statistics {sorted(unknown)}")
-    lag1, lag2 = int(lag1), int(lag2)
-    # Shift 0 checks window1 and window2's size; window2 then fits at every
-    # shift until it runs out of history, at j = window.start - lag2 + 1
-    # (a negative max_shift fails as pair_windows fails at that shift).
-    w1 = pair_windows(tape, window, lag1, lag2).window1
-    pair_windows(tape, window, lag1, lag2, min(max_shift, window.start - lag2 + 1))
+    # Shift 0 checks both lags and window2's size; window2 then fits at every
+    # shift until it runs out of history, at j = window.start - lag2 + 1 (a
+    # negative max_shift fails as pair_windows fails there); the last pair
+    # holds max_shift as an int.
+    first = pair_windows(tape, window, lag1, lag2)
+    w1, lag2 = first.window1, first.window2.lag_l
+    max_shift = pair_windows(tape, window, lag1, lag2,
+                             min(max_shift, window.start - lag2 + 1)).shift_j
     n, m = degrees
     if CORR_RP in stats:
         n = check_order(n, count=window.count)
@@ -430,7 +426,7 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     route: corr_CaU(t,tau | t) - pa(t,tau;1) sigma_U^2(t).  Equal in
     exact arithmetic.
     """
-    x = pair_windows(window.tape, WindowSpec(window.start, window.count), int(lag_l)).units
+    x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag_l).units
     [cau] = x.cross(ADJVALUE_VOLUME)
     [ca1], [pa1] = x.x1.adjusted_moments(1)
     [u1], [u2] = x.x1.volume_moment(1), x.x1.volume_moment(2)

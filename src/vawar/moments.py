@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
 from .reportio import columns, pairs
-from .tape import LagSpec, ResolvedWindow, WindowSpec, resolve
+from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, resolve
 
 #: Default cap on moment orders; higher orders warn but still compute.
 DEFAULT_ORDER_CAP = 8
@@ -65,10 +65,8 @@ LOG = "log"
 
 
 def check_order(n, count=None, order_cap=DEFAULT_ORDER_CAP):
-    """Validate a moment order: n >= 1, warn above the cap or window size."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
+    """A moment order n >= 1 as an int; warn above the cap or window size."""
+    n = integral("moment order", n, 1)
     if n > order_cap:
         warnings.warn(
             f"moment order {n} exceeds cap {order_cap}; result is computed anyway",
@@ -168,8 +166,8 @@ class _Series:
 
     @classmethod
     def of(cls, window: ResolvedWindow, lag_l=None):
-        """One window as a block of one, at return lag lag_l (the window's
-        own by default), its history checked."""
+        """One window as a block of one, at return lag lag_l: the window's
+        own by default, else checked by ``lagged_prices``."""
         return cls(*(x[None] for x in (window.prices, window.volumes, window.values,
                                        window.lagged_prices(lag_l))))
 
@@ -396,9 +394,8 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
     Raises what :func:`vawar.tape.resolve` raises for the first window.
     Windows are computed in blocks of about ``BLOCK_ELEMENTS`` ticks.
     """
-    if stride < 0:
-        raise ValueError(f"stride must be >= 0, got {stride}")
-    resolve(tape, window, LagSpec(lag_l=lag_l))
+    stride = integral("stride", stride, 0)
+    lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
     count, first = window.count, window.start
     order_max = check_order(order_max, count=count, order_cap=order_cap)
     top = max(order_max, 2)  # the dispersions need order 2
@@ -416,7 +413,7 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
         series = _Series(*(np.ascontiguousarray(f[lo:hi]) for f in fields))
         for k, (c, u, p, ca, pa, r) in enumerate(series.moments(top), lo):
             reports.append(MomentReport(
-                first + k * stride, count, int(lag_l), order_max,
+                first + k * stride, count, lag_l, order_max,
                 c[:order_max], u[:order_max], p[:order_max], ca[:order_max],
                 pa[:order_max], r[:order_max],
                 *_sigmas(c, u, p, ca, pa, r),

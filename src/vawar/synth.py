@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .moments import freq_moment, return_moment, return_series
-from .tape import LagSpec, TradeTape, WindowSpec, resolve
+from .tape import LagSpec, TradeTape, WindowSpec, integral, resolve
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,9 @@ class CyclePrice:
     log_amplitude: float
     period: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "period", integral("period", self.period, 2, InvalidConfig))
+
 
 @dataclass(frozen=True)
 class ConstantVolume:
@@ -65,6 +68,9 @@ class WhaleVolume:
     base: float
     whale_volume: float
     position: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", integral("position", self.position, 0, InvalidConfig))
 
 
 _PRICE_MODELS = {"constant": ConstantPrice, "walk": WalkPrice, "cycle": CyclePrice}
@@ -88,6 +94,10 @@ class GenConfig:
     coupling: float = 0.0
     epsilon: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "ticks", integral("ticks", self.ticks, 1, InvalidConfig))
+        object.__setattr__(self, "seed", integral("seed", self.seed, 0, InvalidConfig))
+
     @classmethod
     def from_json(cls, document):
         """Parse a config from a JSON string or an already-decoded dict."""
@@ -105,8 +115,8 @@ class GenConfig:
             price_cls = _PRICE_MODELS[price_doc.pop("model")]
             volume_cls = _VOLUME_MODELS[volume_doc.pop("model")]
             return cls(
-                ticks=int(data.pop("ticks")),
-                seed=int(data.pop("seed")),
+                ticks=data.pop("ticks"),
+                seed=data.pop("seed"),
                 price=price_cls(**price_doc),
                 volume=volume_cls(**volume_doc),
                 coupling=float(data.pop("coupling", 0.0)),
@@ -137,8 +147,6 @@ def _check_positive(name, value):
 
 
 def _validate(config: GenConfig):
-    if config.ticks < 1:
-        raise InvalidConfig(f"ticks must be >= 1, got {config.ticks}")
     _check_positive("epsilon", config.epsilon)
     if not math.isfinite(config.coupling):
         raise InvalidConfig("coupling must be finite")
@@ -153,8 +161,6 @@ def _validate(config: GenConfig):
         _check_positive("cycle base", p.base)
         if not math.isfinite(p.log_amplitude):
             raise InvalidConfig("cycle log_amplitude must be finite")
-        if p.period < 2:
-            raise InvalidConfig(f"cycle period must be >= 2, got {p.period}")
     else:
         raise InvalidConfig(f"unknown price model {p!r}")
     v = config.volume
@@ -166,7 +172,7 @@ def _validate(config: GenConfig):
     elif isinstance(v, WhaleVolume):
         _check_positive("volume base", v.base)
         _check_positive("whale volume", v.whale_volume)
-        if not 0 <= v.position < config.ticks:
+        if v.position >= config.ticks:
             raise InvalidConfig(
                 f"whale position {v.position} outside tape of {config.ticks} ticks"
             )
@@ -226,9 +232,7 @@ def whale_tape(n_small=1000, small_value=1.0, whale_value=1e9,
     _check_positive("small_value", small_value)
     _check_positive("whale_value", whale_value)
     _check_positive("whale_return", whale_return)
-    lag = int(lag)
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
+    lag = integral("lag", lag, 1, InvalidConfig)
     n = lag + n_small + 1
     prices = np.ones(n)
     prices[-1] = whale_return

@@ -18,6 +18,10 @@ one tick (finite fields; price, volume and value > 0; value = price *
 volume within ``VALUE_REL_TOL``).  :class:`TradeTape` finds the first tick
 that breaks any of them with one vector mask and lets that tick's
 ``TradeTick`` raise, then checks the spacing.  :func:`ingest` only parses.
+Every count (lag, shift, stride, moment order, window coordinate) obeys
+:func:`integral`: an int, numpy integer or whole float is stored as an
+``int``, and anything else (1.5, NaN, "2", True) raises naming the
+argument.  Each spec and entry point applies it once.
 
 CSV format
 ----------
@@ -168,6 +172,19 @@ class TradeTape:
         return f"TradeTape(len={len(self)}, epsilon={self.epsilon!r})"
 
 
+def integral(name, x, lo, error=ValueError):
+    """``x`` as an ``int`` when it is a whole number >= ``lo``: an int, a
+    numpy integer or a float equal to an int.  Anything else raises
+    ``error`` naming the argument ``name``."""
+    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        raise error(f"{name} must be an integer, got {x!r}")
+    x = int(x)
+    if x < lo:
+        raise error(f"{name} must be >= {lo}, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """An averaging window of ``count`` consecutive ticks starting at
@@ -177,10 +194,8 @@ class WindowSpec:
     count: int
 
     def __post_init__(self):
-        if self.start < 0:
-            raise WindowOutOfRange(f"window start must be >= 0, got {self.start}")
-        if self.count < 2:
-            raise WindowOutOfRange(f"window count must be >= 2, got {self.count}")
+        object.__setattr__(self, "start", integral("window start", self.start, 0, WindowOutOfRange))
+        object.__setattr__(self, "count", integral("window count", self.count, 2, WindowOutOfRange))
 
 
 @dataclass(frozen=True)
@@ -192,26 +207,29 @@ class LagSpec:
     window_shift_j: int = 0
 
     def __post_init__(self):
-        if self.lag_l < 1:
-            raise ValueError(f"lag_l must be >= 1, got {self.lag_l}")
-        if self.window_shift_j < 0:
-            raise ValueError(
-                f"window_shift_j must be >= 0, got {self.window_shift_j}"
-            )
+        for name, lo in (("lag_l", 1), ("window_shift_j", 0)):
+            object.__setattr__(self, name, integral(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)
 class ResolvedWindow:
     """A window validated against a tape, with guaranteed lag history.
 
-    Every tick index i in [start, start+count) satisfies i - lag_l >= 0,
-    so lagged price lookups stay inside the tape.
+    Construction raises WindowOutOfRange unless the window fits in the
+    tape, and what :func:`require_history` raises for ``lag_l``; so every
+    tick index i in [start, start+count) satisfies i - lag_l >= 0.
     """
 
     tape: TradeTape
     start: int
     count: int
     lag_l: int
+
+    def __post_init__(self):
+        if self.start + self.count > len(self.tape):
+            raise WindowOutOfRange(f"window [{self.start}, {self.start + self.count}) exceeds "
+                                   f"tape of {len(self.tape)} ticks")
+        object.__setattr__(self, "lag_l", require_history(self, self.lag_l))
 
     @property
     def indices(self):
@@ -231,38 +249,28 @@ class ResolvedWindow:
 
     def lagged_prices(self, lag_l=None):
         """Prices p(t_i - tau) for each i in the window, read from the
-        global tape."""
-        l = int(self.lag_l if lag_l is None else lag_l)
-        require_history(self, l)
+        global tape; a lag given here is checked, the window's own is not."""
+        l = self.lag_l if lag_l is None else require_history(self, lag_l)
         lo = self.start - l
         return self.tape.prices[lo : lo + self.count]
 
 
-def require_history(window: ResolvedWindow, lag_l: int):
-    """Raise InsufficientHistory unless every window tick has lag_l ticks
+def require_history(window: ResolvedWindow, lag_l):
+    """lag_l as an ``int``; raise ValueError unless it is a whole number
+    >= 1, and InsufficientHistory unless every window tick has lag_l ticks
     of history."""
-    if lag_l < 1:
-        raise ValueError(f"lag_l must be >= 1, got {lag_l}")
+    lag_l = integral("lag_l", lag_l, 1)
     if window.start < lag_l:
         raise InsufficientHistory(
             f"window starting at {window.start} needs {lag_l} ticks of history"
         )
+    return lag_l
 
 
 def resolve(tape: TradeTape, window: WindowSpec, lags: LagSpec) -> ResolvedWindow:
-    """Resolve a window against a tape and confirm lagged lookups fit.
-
-    Raises WindowOutOfRange when the window does not fit in the tape and
-    InsufficientHistory when window.start < lags.lag_l.
-    """
-    if window.start + window.count > len(tape):
-        raise WindowOutOfRange(
-            f"window [{window.start}, {window.start + window.count}) exceeds "
-            f"tape of {len(tape)} ticks"
-        )
-    resolved = ResolvedWindow(tape, window.start, window.count, lags.lag_l)
-    require_history(resolved, resolved.lag_l)
-    return resolved
+    """Resolve a window against a tape and confirm lagged lookups fit
+    (raises what :class:`ResolvedWindow` raises)."""
+    return ResolvedWindow(tape, window.start, window.count, lags.lag_l)
 
 
 WITH_VALUE = "with_value"
