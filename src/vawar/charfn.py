@@ -103,6 +103,8 @@ class CharFnApprox:
     moments: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "damping_exponent", integral(
+            "damping q", self.damping_exponent, 1, InvalidDensityParameter))
         if self.order < 1:
             raise OrderZero(f"approximation order must be >= 1, got {self.order}")
         if len(self.coefficients) != self.order or len(self.moments) != self.order:

@@ -19,7 +19,6 @@ from .moments import (
     DEFAULT_ORDER_CAP,
     MomentReport,
     moment_reports,
-    return_moment,
 )
 from .reportio import SCHEMA_VERSION, Records, columns, dumps_json, write_csv_rows
 from .synth import GenConfig, generate, weighting_contrast
@@ -30,7 +29,6 @@ from .tape import (
     WindowSpec,
     infer_epsilon,
     ingest,
-    resolve,
     write_csv,
 )
 
@@ -214,19 +212,15 @@ def _cmd_xcorr(args):
 
 
 def _cmd_density(args):
-    tape = _load_tape(args)
-    window = resolve(tape, WindowSpec(args.start, args.window),
-                     LagSpec(lag_l=args.lag))
-    moments = [return_moment(window, args.lag, n) for n in
-               range(1, args.order + 1)]
-    approx = charfn.fit_charfn(moments, b=args.damping_b, q=args.damping_q)
-    grid = None
-    if args.grid_min is not None or args.grid_max is not None:
-        if args.grid_min is None or args.grid_max is None:
-            raise VawarError("--grid-min and --grid-max must be given together")
-        grid = charfn.GridSpec(args.grid_min, args.grid_max, args.grid_points)
-    elif args.grid_points != charfn.R_POINTS:
+    [report] = moment_reports(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
+                              args.order)
+    approx = charfn.fit_charfn(report.return_moments, b=args.damping_b, q=args.damping_q)
+    if args.grid_min is None and args.grid_max is None:
         grid = charfn.GridSpec.for_approx(approx, points=args.grid_points)
+    elif args.grid_min is None or args.grid_max is None:
+        raise VawarError("--grid-min and --grid-max must be given together")
+    else:
+        grid = charfn.GridSpec(args.grid_min, args.grid_max, args.grid_points)
     dens = charfn.invert_density(approx, grid)
 
     sink = io.StringIO()
@@ -346,10 +340,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except VawarError as exc:
-        print(f"vawar {args.subcommand}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VawarError, OSError, UnicodeDecodeError) as exc:
         print(f"vawar {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
 

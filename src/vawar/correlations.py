@@ -22,7 +22,7 @@ are frequency-based, even when both appear in one formula.
 One pair kernel computes the estimators for a block of pairs that share
 window1: window1's series cache (``moments._Series``, one row, built once
 per sweep) against the cache of a block of window2s, one row per shift,
-copied from the tape as contiguous ``(B, N)`` rows.  Every window2 mean,
+cut from the tape by ``_Series.blocks``.  Every window2 mean,
 cross expectation (``_Pairs.cross``) and moment is one reduction over the
 last axis of the block; each estimator's arithmetic then runs per shift
 on Python floats in its formula's order.  A sweep over shifts
@@ -38,13 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _block_rows, _power, _quiet, _Series, _sigmas, check_order
+from .moments import DEFAULT_ORDER_CAP, _power, _quiet, _Series, _sigmas, check_order
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, integral, resolve
 
 VALUE_VALUE = "value_value"
@@ -393,18 +392,11 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
         m = check_order(m, count=window.count)
     estimate = {CORR_R: _autocorr, CORR_RU: _volume_corr,
                 CORR_RP: lambda x: _price_corr(x, n, m)}
-    x1, count = _Series.of(w1), window.count
-    step = _block_rows(count)
-    p, u, c = (sliding_window_view(f, count) for f in (tape.prices, tape.volumes, tape.values))
-
-    def block(lo):
-        starts = window.start - np.arange(lo, min(lo + step, max_shift + 1))
-        # Indexing copies each window2 into its own contiguous row, which
-        # numpy sums pairwise as it sums a window alone.
-        x = _Pairs(x1, _Series(p[starts], u[starts], c[starts], p[starts - lag2]))
-        return zip(*(estimate[s](x) for s in stats))
-
-    return chain.from_iterable(map(block, range(0, max_shift + 1, step)))
+    starts = window.start - np.arange(max_shift + 1)
+    # map, not a generator expression, whose loop variable would keep the
+    # previous block alive while the next is cut
+    pairs = map(_Pairs, repeat(_Series.of(w1)), _Series.blocks(tape, starts, window.count, lag2))
+    return chain.from_iterable(map(lambda x: zip(*(estimate[s](x) for s in stats)), pairs))
 
 
 @dataclass(frozen=True)

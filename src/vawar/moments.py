@@ -31,11 +31,11 @@ series of a block of windows, one window per row (a single window is a
 block of one), at one return lag, each divided by its window mean on
 first use.  Each moment is one reduction over the last axis, and each
 window's scales are restored with Python ``float ** int``, so a sweep is
-byte-identical to its windows computed one at a time.  ``moment_reports``
-runs its blocks of windows through the cache; the public moment
-functions, the dispersions and the volatilities are views of a block of
-one; the correlations read the same cache for one window and for a block
-of shifted windows alike.
+byte-identical to its windows computed one at a time.  ``_Series.blocks``
+cuts every sweep's windows from the tape, one contiguous row each: the
+strided windows of ``moment_reports`` and the shifted twins of
+``correlations.pair_sweep``.  The public moment functions, the
+dispersions and the volatilities are views of a block of one.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,8 +56,7 @@ from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, resolve
 #: Default cap on moment orders; higher orders warn but still compute.
 DEFAULT_ORDER_CAP = 8
 
-#: Ticks per field that moment_reports and correlations.pair_sweep hold in
-#: one block of windows.
+#: Ticks per field in one block of windows that ``_Series.blocks`` yields.
 BLOCK_ELEMENTS = 2**14
 
 RATIO = "ratio"
@@ -105,11 +105,6 @@ def _weighted(x, w):
 def adjusted_value_series(window: ResolvedWindow, lag_l):
     """Adjusted values C_a(t_i, tau) = p(t_i - tau) U(t_i) over the window."""
     return window.lagged_prices(lag_l) * window.volumes
-
-
-def _block_rows(count):
-    # Windows of count ticks in one block of about BLOCK_ELEMENTS ticks per field
-    return max(1, BLOCK_ELEMENTS // count)
 
 
 # The moment kernels' array arithmetic, as a decorator: an overflow is inf
@@ -170,6 +165,19 @@ class _Series:
         own by default, else checked by ``lagged_prices``."""
         return cls(*(x[None] for x in (window.prices, window.volumes, window.values,
                                        window.lagged_prices(lag_l))))
+
+    @classmethod
+    def blocks(cls, tape, starts, count, lag_l):
+        """The windows of count ticks at the tape indices ``starts``, at
+        return lag lag_l, as blocks of about ``BLOCK_ELEMENTS`` ticks per
+        field; the windows and their history are taken unchecked."""
+        p, u, c = (sliding_window_view(x, count) for x in (tape.prices, tape.volumes, tape.values))
+        step = max(1, BLOCK_ELEMENTS // count)
+        for lo in range(0, len(starts), step):
+            s = starts[lo:lo + step]
+            # Indexing copies each window into its own contiguous row, which
+            # numpy sums pairwise as it sums a window alone
+            yield cls(p[s], u[s], c[s], p[s - lag_l])
 
     @cached_property
     def vwap(self):
@@ -399,26 +407,14 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
     count, first = window.count, window.start
     order_max = check_order(order_max, count=count, order_cap=order_cap)
     top = max(order_max, 2)  # the dispersions need order 2
-    step = stride or len(tape)  # one step past the end: the first window only
-    fields = [sliding_window_view(x, count)[lo::step] for x, lo in (
-        (tape.prices, first), (tape.volumes, first), (tape.values, first),
-        (tape.prices, first - lag_l))]
-    total = len(fields[0])
-    block = _block_rows(count)
-    reports = []
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        # numpy sums pairwise only along the fast axis in memory; in these
-        # copies that is each window's own row, as for a window alone
-        series = _Series(*(np.ascontiguousarray(f[lo:hi]) for f in fields))
-        for k, (c, u, p, ca, pa, r) in enumerate(series.moments(top), lo):
-            reports.append(MomentReport(
-                first + k * stride, count, lag_l, order_max,
-                c[:order_max], u[:order_max], p[:order_max], ca[:order_max],
-                pa[:order_max], r[:order_max],
-                *_sigmas(c, u, p, ca, pa, r),
-            ))
-    return reports
+    # one step past the end when stride is 0: the first window only
+    starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
+    rows = chain.from_iterable(x.moments(top) for x in _Series.blocks(tape, starts, count, lag_l))
+    return [MomentReport(start, count, lag_l, order_max,
+                         c[:order_max], u[:order_max], p[:order_max], ca[:order_max],
+                         pa[:order_max], r[:order_max],
+                         *_sigmas(c, u, p, ca, pa, r))
+            for start, (c, u, p, ca, pa, r) in zip(starts.tolist(), rows)]
 
 
 def moment_report(

@@ -141,25 +141,31 @@ class GenConfig:
         }
 
 
+def _real(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(_real(name, value)) and value > 0):
         raise InvalidConfig(f"{name} must be a positive real, got {value!r}")
 
 
 def _validate(config: GenConfig):
     _check_positive("epsilon", config.epsilon)
-    if not math.isfinite(config.coupling):
+    if not math.isfinite(_real("coupling", config.coupling)):
         raise InvalidConfig("coupling must be finite")
     p = config.price
     if isinstance(p, ConstantPrice):
         _check_positive("price level", p.level)
     elif isinstance(p, WalkPrice):
         _check_positive("walk start", p.start)
-        if not (math.isfinite(p.log_vol) and p.log_vol >= 0):
+        if not (math.isfinite(_real("walk log_vol", p.log_vol)) and p.log_vol >= 0):
             raise InvalidConfig(f"walk log_vol must be >= 0, got {p.log_vol!r}")
     elif isinstance(p, CyclePrice):
         _check_positive("cycle base", p.base)
-        if not math.isfinite(p.log_amplitude):
+        if not math.isfinite(_real("cycle log_amplitude", p.log_amplitude)):
             raise InvalidConfig("cycle log_amplitude must be finite")
     else:
         raise InvalidConfig(f"unknown price model {p!r}")

@@ -42,6 +42,7 @@ first row at fault.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 
@@ -156,7 +157,7 @@ class TradeTape:
         return self.times.shape[0]
 
     def __getitem__(self, i) -> TradeTick:
-        i = int(i)
+        i = operator.index(i)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):

@@ -17,6 +17,7 @@ from vawar.charfn import (
     write_density_csv,
 )
 from vawar.errors import (
+    InvalidDensityParameter,
     NonPositiveVariance,
     NotIntegrable,
     OrderZero,
@@ -303,3 +304,13 @@ class TestFitDefaults:
         with pytest.raises(OrderZero):
             CharFnApprox(order=0, coefficients=(), damping=0.0,
                          damping_exponent=1, moments=())
+
+    @pytest.mark.parametrize("q", [2.5, "3", None, True, 0])
+    def test_damping_exponent_is_a_whole_number(self, q):
+        # a q of 2.5 would evaluate x**5.0 in the damping term
+        with pytest.raises(InvalidDensityParameter, match="^damping q must be "):
+            CharFnApprox(2, (0.001, 0.01), 0.0, q, (0.001, 0.01))
+
+    def test_whole_float_damping_exponent_is_its_int(self):
+        approx = CharFnApprox(2, (0.001, 0.01), 0.0, 2.0, (0.001, 0.01))
+        assert approx.damping_exponent == 2 and type(approx.damping_exponent) is int

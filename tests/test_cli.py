@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from vawar import schemas
+from vawar.charfn import fit_charfn, invert_density, write_density_csv
 from vawar.cli import build_parser, main
-from vawar.moments import MomentReport, moment_reports
+from vawar.errors import OrderExceedsWindow
+from vawar.moments import MomentReport, moment_reports, return_moment
+from vawar.reportio import SCHEMA_VERSION, dumps_json
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
-from vawar.tape import TradeTape, WindowSpec, ingest, write_csv
+from vawar.tape import LagSpec, TradeTape, WindowSpec, ingest, resolve, write_csv
 
 from conftest import FIXTURE_CSV
 from helpers import OLD_SCHEMAS, old_dumps_json, old_write_csv_rows
@@ -292,6 +295,31 @@ class TestDensity:
         )
         assert status == 1  # constant price: sigma_r2 = 0, not integrable
         assert "integrable" in err or "b > 0" in err
+
+    def test_order_above_window_warns_once(self, capsys, tmp_path):
+        # orders 5 and 6 exceed the 4-tick window: one warning for the
+        # command, and the bytes of one return_moment call per order
+        cfg = GenConfig(ticks=40, seed=11, price=WalkPrice(start=100.0, log_vol=0.02),
+                        volume=HeavyTailVolume(base=50.0, shape=2.5))
+        path = _tape_file(tmp_path, "walk", generate(cfg))
+        out = tmp_path / "density.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _, _ = run(capsys, "density", str(path), "--window", "4", "--start", "5",
+                               "--lag", "1", "--order", "6", "--out", str(out))
+        assert status == 0
+        [warning] = [w for w in caught if issubclass(w.category, OrderExceedsWindow)]
+        assert str(warning.message).startswith("moment order 6 exceeds window size 4")
+        window = resolve(ingest(path.read_text(encoding="utf-8")), WindowSpec(5, 4), LagSpec(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OrderExceedsWindow)
+            dens = invert_density(fit_charfn([return_moment(window, 1, n) for n in range(1, 7)]))
+        want = io.StringIO()
+        write_density_csv(dens, want)
+        assert out.read_text(encoding="utf-8") == want.getvalue()
+        sidecar = {"schema_version": SCHEMA_VERSION, "subcommand": "density",
+                   **dens.sidecar_dict()}
+        assert (tmp_path / "density.csv.json").read_text(encoding="utf-8") == dumps_json(sidecar)
 
 
 # (arguments, exit status, text of the error line)
@@ -626,6 +654,62 @@ class TestSimulate:
         status, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert status == 1
         assert "config" in err
+
+    @pytest.mark.parametrize("model, message", [
+        ({"price": {"model": "constant", "level": "x"}},
+         "price level must be a real number, got 'x'"),
+        ({"price": {"model": "walk", "start": 100.0, "log_vol": None}},
+         "walk log_vol must be a real number, got None"),
+        ({"volume": {"model": "heavy_tail", "base": 50.0, "shape": [2]}},
+         "heavy-tail shape must be a real number, got [2]"),
+        ({"volume": {"model": "constant", "level": True}},
+         "volume level must be a real number, got True"),
+    ])
+    def test_non_numeric_field_is_one_error_line(self, capsys, tmp_path, model, message):
+        doc = {"ticks": 20, "seed": 7, "price": {"model": "constant", "level": 2.0},
+               "volume": {"model": "constant", "level": 1.0}, **model}
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "sim.csv"
+        status, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (status, stdout) == (1, "")
+        assert err.splitlines() == [f"vawar simulate: error: {message}"]
+        assert not out.exists()
+
+
+# A tape whose last volume cell is the byte 0xff, which is not UTF-8.
+NOT_UTF8 = b"time,price,volume\n0,1,1\n1,2,\xff\n"
+
+
+class TestNotUtf8:
+    @staticmethod
+    def fails_cleanly(capsys, argv, out):
+        status, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (status, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"vawar {argv[0]}: error: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("validate", []),
+        ("stats", ["--window", "2", "--start", "1", "--lag", "1"]),
+        ("acorr", ["--window", "2", "--start", "1", "--lag", "1"]),
+        ("density", ["--window", "2", "--start", "1", "--lag", "1"]),
+        ("contrast", ["--window", "2", "--start", "1", "--lag", "1"]),
+    ])
+    def test_file(self, capsys, tmp_path, subcommand, extra):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(NOT_UTF8)
+        self.fails_cleanly(capsys, [subcommand, str(path), *extra], tmp_path / "out")
+
+    def test_stdin(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+        self.fails_cleanly(capsys, ["validate", "-"], tmp_path / "out")
+
+    def test_simulate_config(self, capsys, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_bytes(b'{"ticks": 5, "seed": "\xff"}')
+        self.fails_cleanly(capsys, ["simulate", "--config", str(path)], tmp_path / "out")
 
 
 class TestStdin:

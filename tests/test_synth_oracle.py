@@ -87,6 +87,47 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             generate(config(**bad))
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(price=ConstantPrice(level="x")), "price level must be a real number, got 'x'"),
+        (dict(price=ConstantPrice(level=True)), "price level must be a real number, got True"),
+        (dict(price=WalkPrice(start=1.0, log_vol=None)),
+         "walk log_vol must be a real number, got None"),
+        (dict(price=CyclePrice(base=1.0, log_amplitude=[2], period=5)),
+         "cycle log_amplitude must be a real number, got [2]"),
+        (dict(volume=HeavyTailVolume(base=1.0, shape=[2])),
+         "heavy-tail shape must be a real number, got [2]"),
+        (dict(volume=WhaleVolume(base=1.0, whale_volume="9", position=1)),
+         "whale volume must be a real number, got '9'"),
+        (dict(epsilon=None), "epsilon must be a real number, got None"),
+        (dict(coupling="x"), "coupling must be a real number, got 'x'"),
+    ])
+    def test_non_real_field_is_named(self, bad, message):
+        with pytest.raises(InvalidConfig) as caught:
+            generate(config(**bad))
+        assert str(caught.value) == message
+
+    def test_non_real_level_positional(self):
+        with pytest.raises(InvalidConfig):
+            generate(GenConfig(5, 1, ConstantPrice("x"), ConstantVolume(1.0)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(price=ConstantPrice(level=0.0)), "price level must be a positive real, got 0.0"),
+        (dict(price=WalkPrice(start=1.0, log_vol=-0.1)), "walk log_vol must be >= 0, got -0.1"),
+        (dict(price=CyclePrice(base=1.0, log_amplitude=np.inf, period=5)),
+         "cycle log_amplitude must be finite"),
+        (dict(coupling=np.nan), "coupling must be finite"),
+        (dict(epsilon=-1), "epsilon must be a positive real, got -1"),
+    ])
+    def test_real_out_of_range_keeps_its_message(self, bad, message):
+        with pytest.raises(InvalidConfig) as caught:
+            generate(config(**bad))
+        assert str(caught.value) == message
+
+    def test_numpy_reals_are_accepted(self):
+        cfg = config(price=WalkPrice(start=np.float32(5.0), log_vol=np.int64(0)),
+                     volume=HeavyTailVolume(base=np.int32(3), shape=np.float64(2.0)))
+        assert np.all(generate(cfg).prices == 5.0)
+
 
 class TestConfigJson:
     def test_round_trip(self):

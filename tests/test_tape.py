@@ -335,6 +335,17 @@ class TestTick:
         assert tick.value == 40.0
         assert len(tape_a.ticks) == 4
 
+    def test_tape_index_is_an_index(self, tape_a):
+        assert tape_a[np.int64(2)] == tape_a[2]
+        assert tape_a[-1].index == 3
+        with pytest.raises(IndexError, match="^tick index 4 out of range$"):
+            tape_a[4]
+        with pytest.raises(IndexError, match="^tick index -1 out of range$"):
+            tape_a[-5]
+        for i in (1.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                tape_a[i]
+
     def test_arrays_read_only(self, tape_a):
         with pytest.raises(ValueError):
             tape_a.prices[0] = 99.0
