@@ -276,7 +276,7 @@ def build_parser():
                    help="sweep window start by this stride (0: single window)")
     p.add_argument("--order", type=_POSITIVE, default=2, metavar="M",
                    help="highest moment order (default 2)")
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+    p.add_argument("--order-cap", type=_POSITIVE, default=DEFAULT_ORDER_CAP,
                    help="warn when an order exceeds this cap (default 8)")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_stats)

@@ -24,8 +24,8 @@ window1: window1's series cache (``moments._Series``, one row, built once
 per sweep) against the cache of a block of window2s, one row per shift,
 cut from the tape by ``_Series.blocks``.  Every window2 mean,
 cross expectation (``_Pairs.cross``) and moment is one reduction over the
-last axis of the block; each estimator's arithmetic then runs per shift
-on Python floats in its formula's order.  A sweep over shifts
+last axis of the block, and each estimator's forms are array expressions
+over the block in their formulas' order.  A sweep over shifts
 (:func:`pair_sweep`) is therefore bit-identical to its pairs computed one
 at a time, and the one-pair estimators are the kernel on a block of one
 (``PairedWindows.units``); the one-window estimators pair the window with
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -73,7 +73,7 @@ CORR_RP = "corr_rp"
 @_quiet
 def _cross(kind, x1: _Series, x2: _Series, n, m):
     # paired_expectation of window1's cache x1 with each window of the block
-    # cache x2, degrees unchecked: a list of floats, one per window of x2
+    # cache x2, degrees unchecked: an array, one entry per window of x2
     leg1, leg2 = kind.split("_")
     ([s1], a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
     if kind in MARKET_KINDS:
@@ -81,15 +81,15 @@ def _cross(kind, x1: _Series, x2: _Series, n, m):
         e = np.sum(a**n * b**m * un, axis=-1) / np.sum(un, axis=-1)
     else:
         e = np.mean(a**n * b**m, axis=-1)
-    s1n = _power(s1, n)
-    return [s1n * _power(s, m) * x for s, x in zip(s2, e.tolist())]
+    return _power(s1, n) * np.array([_power(s, m) for s in s2]) * e
 
 
-def _forms(reads, *forms):
-    # an estimator's forms, each NaN when a moment or cross expectation it
-    # reads is not finite: a ratio over an overflowed one would read as 0
-    # or as a plausible finite number
-    return forms if all(map(math.isfinite, reads)) else (math.nan,) * len(forms)
+def _forms(result, reads, *forms):
+    # result(*forms) of each pair of the block, every form NaN where a moment
+    # or cross expectation it reads is not finite: a ratio over an
+    # overflowed one would read as 0 or as a plausible finite number
+    ok = np.isfinite(np.broadcast_arrays(*reads)).all(axis=0)
+    return list(map(result, *(np.where(ok, f, math.nan).tolist() for f in forms)))
 
 
 class _Pairs:
@@ -101,7 +101,7 @@ class _Pairs:
 
     def cross(self, kind, n=1, m=1):
         """The block's cross expectations of one kind and degrees, evaluated
-        on first use: a list of floats, one per window of the block."""
+        on first use: an array, one entry per window of the block."""
         key = kind, n, m
         if key not in self._crosses:
             self._crosses[key] = _cross(kind, self.x1, self.x2, n, m)
@@ -183,7 +183,7 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
     n, m = degrees
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
-    return pair.units.cross(kind, n, m)[0]
+    return pair.units.cross(kind, n, m).item()
 
 
 @dataclass(frozen=True)
@@ -199,29 +199,25 @@ class ReturnAutocorr:
         return self.definitional
 
 
+@_quiet
 def _autocorr(x: _Pairs):
     # return_autocorr of each pair of the block
-    x1, x2 = x.x1, x.x2
-    [c1], ([ca1], [pa1]), [p1] = (x1.value_moment(1), x1.adjusted_moments(1),
-                                  x1.price_moment(1))
-    r1 = c1 / ca1
-    out = []
-    for cross_c, cross_ca, cross_p, cross_pa, c2, ca2, pa2, p2 in zip(
-            x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE), x.cross(PRICE_PRICE),
-            x.cross(ADJPRICE_ADJPRICE), x2.value_moment(1),
-            *x2.adjusted_moments(1), x2.price_moment(1)):
-        r2 = c2 / ca2
-        corr_c = cross_c - c1 * c2
-        corr_ca = cross_ca - ca1 * ca2
-        corr_p = cross_p - p1 * p2
-        corr_pa = cross_pa - pa1 * pa2
-        out.append(ReturnAutocorr(*_forms(
-            (c1, ca1, pa1, p1, cross_c, cross_ca, cross_p, cross_pa, c2, ca2, pa2, p2),
-            cross_c / cross_ca - r1 * r2,
-            (corr_c - r1 * r2 * corr_ca) / cross_ca,
-            (pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2),
-        )))
-    return out
+    (c1, (ca1, pa1), p1), (c2, (ca2, pa2), p2) = (
+        (y.value_moment(1), y.adjusted_moments(1), y.price_moment(1)) for y in (x.x1, x.x2))
+    cross_c, cross_ca, cross_p, cross_pa = (x.cross(kind) for kind in (
+        VALUE_VALUE, ADJVALUE_ADJVALUE, PRICE_PRICE, ADJPRICE_ADJPRICE))
+    r1, r2 = c1 / ca1, c2 / ca2
+    corr_c = cross_c - c1 * c2
+    corr_ca = cross_ca - ca1 * ca2
+    corr_p = cross_p - p1 * p2
+    corr_pa = cross_pa - pa1 * pa2
+    return _forms(
+        ReturnAutocorr,
+        (c1, ca1, pa1, p1, cross_c, cross_ca, cross_p, cross_pa, c2, ca2, pa2, p2),
+        cross_c / cross_ca - r1 * r2,
+        (corr_c - r1 * r2 * corr_ca) / cross_ca,
+        (pa1 * pa2 * corr_p - p1 * p2 * corr_pa) / (cross_pa * pa1 * pa2),
+    )
 
 
 def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
@@ -246,6 +242,7 @@ class TwoLagAutocorr:
     residual: float
 
 
+@_quiet
 def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutocorr:
     """corr_r(t,tau | t,tau2) for one window with lags lag1 and lag2.
 
@@ -255,19 +252,17 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     correlated adjusted values.
     """
     x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag1, lag2).units
-    [cross_c], [cross_ca] = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
-    [c1] = x.x1.value_moment(1)
-    ([ca1], _), ([ca2], _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
+    cross_c, cross_ca = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
+    c1 = x.x1.value_moment(1)
+    (ca1, _), (ca2, _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
     sigma_c2 = cross_c - c1 * c1
     corr_ca = cross_ca - ca1 * ca2
     r1 = c1 / ca1
     r2 = c1 / ca2
-    exact, approximation = _forms((cross_c, cross_ca, c1, ca1, ca2),
-                                  (sigma_c2 - r1 * r2 * corr_ca) / cross_ca,
-                                  sigma_c2 / (ca1 * ca2))
-    return TwoLagAutocorr(
-        exact=exact, approximation=approximation, residual=exact - approximation
-    )
+    exact = (sigma_c2 - r1 * r2 * corr_ca) / cross_ca
+    approximation = sigma_c2 / (ca1 * ca2)
+    return _forms(TwoLagAutocorr, (cross_c, cross_ca, c1, ca1, ca2),
+                  exact, approximation, exact - approximation)[0]
 
 
 @dataclass(frozen=True)
@@ -284,22 +279,15 @@ class ReturnVolumeCorr:
         return self.definitional
 
 
+@_quiet
 def _volume_corr(x: _Pairs):
     # return_volume_corr of each pair of the block
-    x1 = x.x1
-    [c1], [u1], ([ca1], [pa1]) = (x1.value_moment(1), x1.volume_moment(1),
-                                  x1.adjusted_moments(1))
+    c1, u1, (ca1, pa1) = x.x1.value_moment(1), x.x1.volume_moment(1), x.x1.adjusted_moments(1)
+    cu, u2 = x.cross(VALUE_VOLUME), x.x2.volume_moment(1)
     r1 = c1 / ca1
-    out = []
-    for cu, u2 in zip(x.cross(VALUE_VOLUME), x.x2.volume_moment(1)):
-        corr_cu = cu - c1 * u2
-        out.append(ReturnVolumeCorr(*_forms(
-            (c1, u1, ca1, pa1, cu, u2),
-            cu / ca1 - r1 * u2,
-            corr_cu / ca1,
-            corr_cu / (pa1 * u1),
-        )))
-    return out
+    corr_cu = cu - c1 * u2
+    return _forms(ReturnVolumeCorr, (c1, u1, ca1, pa1, cu, u2),
+                  cu / ca1 - r1 * u2, corr_cu / ca1, corr_cu / (pa1 * u1))
 
 
 def return_volume_corr(pair: PairedWindows) -> ReturnVolumeCorr:
@@ -327,22 +315,20 @@ class ReturnPriceCorr:
         return self.definitional
 
 
+@_quiet
 def _price_corr(x: _Pairs, n, m):
     # return_price_corr of each pair of the block, degrees unchecked
-    [c_n], ([ca_n], _) = x.x1.value_moment(n), x.x1.adjusted_moments(n)
+    c_n, (ca_n, _) = x.x1.value_moment(n), x.x1.adjusted_moments(n)
+    cnm, cau = x.cross(VALUE_VALUE, n, m), x.cross(ADJVALUE_VOLUME, n, m)
+    c_m, u_m = x.x2.value_moment(m), x.x2.volume_moment(m)
     r_n = c_n / ca_n
-    out = []
-    for cnm, cau, c_m, u_m in zip(x.cross(VALUE_VALUE, n, m), x.cross(ADJVALUE_VOLUME, n, m),
-                                  x.x2.value_moment(m), x.x2.volume_moment(m)):
-        p_m = c_m / u_m
-        corr_c = cnm - c_n * c_m
-        corr_cau = cau - ca_n * u_m
-        out.append(ReturnPriceCorr(*_forms(
-            (c_n, ca_n, cnm, cau, c_m, u_m),
-            cnm / cau - r_n * p_m,
-            (corr_c - r_n * p_m * corr_cau) / cau,
-        ), degree_n=n, degree_m=m))
-    return out
+    p_m = c_m / u_m
+    corr_c = cnm - c_n * c_m
+    corr_cau = cau - ca_n * u_m
+    return _forms(partial(ReturnPriceCorr, degree_n=n, degree_m=m),
+                  (c_n, ca_n, cnm, cau, c_m, u_m),
+                  cnm / cau - r_n * p_m,
+                  (corr_c - r_n * p_m * corr_cau) / cau)
 
 
 def return_price_corr(pair: PairedWindows, n=1, m=1,
@@ -419,9 +405,8 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     exact arithmetic.
     """
     x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag_l).units
-    [cau] = x.cross(ADJVALUE_VOLUME)
-    [ca1], [pa1] = x.x1.adjusted_moments(1)
-    [u1], [u2] = x.x1.volume_moment(1), x.x1.volume_moment(2)
+    [cau] = x.cross(ADJVALUE_VOLUME).tolist()
+    [(_, (u1, u2), _, (ca1, _), (pa1, _), _)] = x.x1.moments(2)
     direct = cau - pa1 * u2
     corr_cau = cau - ca1 * u1
     sigma_u2 = u2 - u1 * u1
@@ -472,22 +457,25 @@ class CorrelationReport:
 _NORMALIZED = ("corr_C", "corr_Ca", "corr_U", "corr_p", "corr_pa", "corr_r")
 
 
+@_quiet
 def _normalize(corr, var1, var2):
-    if var1 <= 0 or var2 <= 0:
-        return math.nan
-    return corr / math.sqrt(var1 * var2)
+    # corr / sqrt(var1 var2), NaN unless var1, var2 and their product (which
+    # may underflow) are positive
+    v = var1 * var2
+    return np.where((var1 > 0) & (v > 0), corr / np.sqrt(v), math.nan)
 
 
 def _corr(cross, a, b):
     # cross - a * b, NaN when one of the three is not finite
-    return _forms((cross, a, b), cross - a * b)[0]
+    return _forms(float, (cross, a, b), cross - a * b)[0]
 
 
+@_quiet
 def correlation_report(pair: PairedWindows) -> CorrelationReport:
     """Assemble every cross expectation and correlation of the pair."""
     w1, w2 = pair.window1, pair.window2
     x = pair.units
-    [cross_c], [cross_ca], [cross_u], [cross_p], [cross_pa], [cau] = (x.cross(kind) for kind in (
+    cross_c, cross_ca, cross_u, cross_p, cross_pa, cau = (x.cross(kind) for kind in (
         VALUE_VALUE, ADJVALUE_ADJVALUE, VOLUME_VOLUME, PRICE_PRICE, ADJPRICE_ADJPRICE,
         ADJVALUE_VOLUME))
     # each window's order-1 and order-2 moment tuples (C, U, p, C_a, p_a, r)
@@ -499,7 +487,7 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         _corr(cross_c, c1, c2), _corr(cross_ca, ca1, ca2), _corr(cross_u, u1, u2),
         _corr(cross_p, p1, p2), _corr(cross_pa, pa1, pa2), ac.definitional)))
     # each window's dispersions, matching _NORMALIZED
-    s1, s2 = _sigmas(*m1), _sigmas(*m2)
+    s1, s2 = np.array((_sigmas(*m1), _sigmas(*m2)))
     return CorrelationReport(
         window1_start=w1.start,
         window2_start=w2.start,
@@ -507,15 +495,15 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         lag1=w1.lag_l,
         lag2=w2.lag_l,
         shift_j=pair.shift_j,
-        cross_value=cross_c,
-        cross_adj_value=cross_ca,
-        cross_volume=cross_u,
-        cross_price=cross_p,
-        cross_adj_price=cross_pa,
-        cross_return=_forms((cross_c, cross_ca), cross_c / cross_ca)[0],
+        cross_value=cross_c.item(),
+        cross_adj_value=cross_ca.item(),
+        cross_volume=cross_u.item(),
+        cross_price=cross_p.item(),
+        cross_adj_price=cross_pa.item(),
+        cross_return=_forms(float, (cross_c, cross_ca), cross_c / cross_ca)[0],
         **corrs,
         corr_rU=ru.definitional,
         corr_rp=rp.definitional,
         corr_CaU=_corr(cau, ca1, u2),
-        normalized={k: _normalize(c, a, b) for (k, c), a, b in zip(corrs.items(), s1, s2)},
+        normalized=dict(zip(_NORMALIZED, _normalize(np.array([*corrs.values()]), s1, s2).tolist())),
     )

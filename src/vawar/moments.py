@@ -107,9 +107,10 @@ def adjusted_value_series(window: ResolvedWindow, lag_l):
     return window.lagged_prices(lag_l) * window.volumes
 
 
-# The moment kernels' array arithmetic, as a decorator: an overflow is inf
-# (written as null) and inf * 0 is NaN, with no numpy RuntimeWarning.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# The kernels' and estimators' array arithmetic, as a decorator: an overflow
+# is inf (written as null), inf * 0 is NaN and x / 0 is inf or NaN, with no
+# numpy RuntimeWarning.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _power(s, n):
@@ -145,8 +146,8 @@ class _Series:
 
     Cross expectations and frequency moments read the cached series; the
     price moments divide prices by the VWAP and weight by powers of the
-    volume series.  Moments are lists, one float per window; orders are
-    taken unchecked.
+    volume series.  Moments are float64 arrays, one entry per window;
+    orders are taken unchecked.
     """
 
     value = _unit_series(lambda x: x.c)
@@ -194,44 +195,44 @@ class _Series:
     @_quiet
     def value_moment(self, n):
         s, a = self.value
-        return _scaled(s, np.mean(a**n, axis=-1), n)
+        return np.array(_scaled(s, np.mean(a**n, axis=-1), n))
 
     @_quiet
     def volume_moment(self, n):
         un, su = self.volume_powers(n)
-        return _scaled(self.volume[0], su / un.shape[-1], n)
+        return np.array(_scaled(self.volume[0], su / un.shape[-1], n))
 
     @_quiet
     def price_moment(self, n):
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
-        return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
+        return np.array(_scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n))
 
     @_quiet
     def adjusted_moments(self, n):
+        # (C_a, p_a) of each window, as the rows of one array
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
         s = np.sum((self.pl / va) ** n * un, axis=-1)
-        return (_scaled([a * b for a, b in zip(v, self.volume[0])], s / un.shape[-1], n),
-                _scaled(v, s / su, n))
+        return np.array((_scaled([a * b for a, b in zip(v, self.volume[0])], s / un.shape[-1], n),
+                         _scaled(v, s / su, n)))
 
     @_quiet
     def return_moment(self, n):
         # r(t,tau;n) of each window, weighted by C_a^n; it needs no scale
-        return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n).tolist()
+        return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n)
 
     def moments(self, top):
         """The order 1..top moment tuples (C, U, p, C_a, p_a, r) of each
-        window."""
-        by_order = [zip(self.value_moment(n), self.volume_moment(n), self.price_moment(n),
-                        *self.adjusted_moments(n), self.return_moment(n))
-                    for n in range(1, top + 1)]
-        return [tuple(zip(*orders)) for orders in zip(*by_order)]
+        window, as Python floats."""
+        by_order = np.array([(self.value_moment(n), self.volume_moment(n), self.price_moment(n),
+                              *self.adjusted_moments(n), self.return_moment(n))
+                             for n in range(1, top + 1)])
+        return [tuple(map(tuple, w)) for w in by_order.transpose(2, 1, 0).tolist()]
 
 
 def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
     """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [p] = _Series.of(window).price_moment(n)
-    return p
+    return _Series.of(window).price_moment(n).item()
 
 
 def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP):
@@ -245,8 +246,7 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [ca], [pa] = _Series.of(window, lag_l).adjusted_moments(n)
-    return ca, pa
+    return tuple(_Series.of(window, lag_l).adjusted_moments(n)[:, 0].tolist())
 
 
 def return_series(window: ResolvedWindow, lag_l, form=RATIO):
@@ -272,8 +272,7 @@ def return_moment(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP)
     r(t,tau;n) = sum r_i^n C_a_i^n / sum C_a_i^n; n = 1 is VaWAR.
     """
     n = check_order(n, count=window.count, order_cap=order_cap)
-    [r] = _Series.of(window, lag_l).return_moment(n)
-    return r
+    return _Series.of(window, lag_l).return_moment(n).item()
 
 
 @dataclass(frozen=True)
@@ -322,6 +321,7 @@ class ReturnVolatility:
         return self.via_moments
 
 
+@_quiet
 def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     """sigma_r^2(t, tau) three ways.
 
@@ -329,13 +329,13 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     via_values:   [sigma_C^2 Ca1^2 - sigma_Ca^2 C1^2] / [Ca1^2 Ca2]
     via_prices:   [sigma_p^2 pa1^2 - sigma_pa^2 p1^2] / [pa1^2 pa2]
     """
-    [(c, u, p, ca, pa, r)] = _Series.of(window, lag_l).moments(2)
-    s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(c, u, p, ca, pa, r)
-    (c1, _), (p1, _), (ca1, ca2), (pa1, pa2) = c, p, ca, pa
+    [moments] = _Series.of(window, lag_l).moments(2)
+    (c1, _), _, (p1, _), (ca1, ca2), (pa1, pa2), _ = m = np.array(moments)
+    s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(*m)
     return ReturnVolatility(
-        via_moments=s_r,
-        via_values=(s_c * ca1 * ca1 - s_ca * c1 * c1) / (ca1 * ca1 * ca2),
-        via_prices=(s_p * pa1 * pa1 - s_pa * p1 * p1) / (pa1 * pa1 * pa2),
+        via_moments=float(s_r),
+        via_values=float((s_c * ca1 * ca1 - s_ca * c1 * c1) / (ca1 * ca1 * ca2)),
+        via_prices=float((s_p * pa1 * pa1 - s_pa * p1 * p1) / (pa1 * pa1 * pa2)),
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .moments import freq_moment, return_moment, return_series
+from .moments import _quiet, freq_moment, return_moment, return_series
 from .tape import LagSpec, TradeTape, WindowSpec, integral, resolve
 
 
@@ -100,7 +100,11 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, document):
-        """Parse a config from a JSON string or an already-decoded dict."""
+        """Parse a config from a JSON string or an already-decoded dict.
+
+        Numbers are taken as given (``generate`` checks them), and a key
+        that names no config field is rejected.
+        """
         if isinstance(document, (str, bytes)):
             try:
                 document = json.loads(document)
@@ -114,16 +118,19 @@ class GenConfig:
             volume_doc = dict(data.pop("volume"))
             price_cls = _PRICE_MODELS[price_doc.pop("model")]
             volume_cls = _VOLUME_MODELS[volume_doc.pop("model")]
-            return cls(
+            config = cls(
                 ticks=data.pop("ticks"),
                 seed=data.pop("seed"),
                 price=price_cls(**price_doc),
                 volume=volume_cls(**volume_doc),
-                coupling=float(data.pop("coupling", 0.0)),
-                epsilon=float(data.pop("epsilon", 1.0)),
+                coupling=data.pop("coupling", 0.0),
+                epsilon=data.pop("epsilon", 1.0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad generator config: {exc}") from None
+        if data:
+            raise InvalidConfig(f"unknown generator config keys {sorted(data)}")
+        return config
 
     def to_json_dict(self):
         def model_doc(model):
@@ -263,17 +270,19 @@ class WeightingContrast:
         return self.vawar - self.freq_mean_return
 
 
+@_quiet
 def weighting_contrast(tape: TradeTape, window: WindowSpec,
                        lags: LagSpec) -> WeightingContrast:
     """Compare the plain mean return with VaWAR on one window.
 
     The two agree only when all adjusted values in the window are equal;
     a single large trade drags VaWAR toward its own return while barely
-    moving the frequency mean.
+    moving the frequency mean.  A return that overflows is +inf (returns
+    are ratios of positive prices), and so is the frequency mean.
     """
     resolved = resolve(tape, window, lags)
     returns = return_series(resolved, lags.lag_l)
     return WeightingContrast(
-        freq_mean_return=freq_moment(returns, 1),
+        freq_mean_return=freq_moment(returns, 1) if np.isfinite(returns).all() else math.inf,
         vawar=return_moment(resolved, lags.lag_l, 1),
     )

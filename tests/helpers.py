@@ -30,6 +30,14 @@ def assert_close(a, b, rel, abs_floor=0.0, msg=""):
     )
 
 
+# A walk starting at 1e-160: a product of three price moments underflows to
+# 0 (the price form of return_autocorr divides by one), and so do the value
+# and price dispersions.
+SMALL_PRICES = {"ticks": 60, "seed": 1,
+                "price": {"model": "walk", "start": 1e-160, "log_vol": 0.01},
+                "volume": {"model": "heavy_tail", "base": 1.0, "shape": 2.5}}
+
+
 def random_config(seed, ticks):
     """Deterministic, structurally varied generator config for one seed."""
     rng = np.random.default_rng(seed)

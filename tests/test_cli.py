@@ -9,14 +9,15 @@ import pytest
 from vawar import schemas
 from vawar.charfn import fit_charfn, invert_density, write_density_csv
 from vawar.cli import build_parser, main
+from vawar.correlations import ADJPRICE_ADJPRICE, pair_windows, paired_expectation
 from vawar.errors import OrderExceedsWindow
-from vawar.moments import MomentReport, moment_reports, return_moment
+from vawar.moments import MomentReport, adjusted_moments, moment_reports, return_moment
 from vawar.reportio import SCHEMA_VERSION, dumps_json
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, ingest, resolve, write_csv
 
 from conftest import FIXTURE_CSV
-from helpers import OLD_SCHEMAS, old_dumps_json, old_write_csv_rows
+from helpers import OLD_SCHEMAS, SMALL_PRICES, old_dumps_json, old_write_csv_rows
 
 
 def run(capsys, *argv):
@@ -166,6 +167,8 @@ BAD_INTEGERS = [
     ("stats", "--stride", "-1"),  # looped forever before parse-time checks
     ("stats", "--stride", "x"),
     ("stats", "--order", "0"),
+    ("stats", "--order-cap", "0"),  # a cap below 1 warned on every order
+    ("stats", "--order-cap", "-3"),
     ("stats", "--lag", "0"),
     ("acorr", "--max-shift", "-3"),
     ("acorr", "--lag2", "0"),
@@ -605,7 +608,54 @@ class TestScaleOverflow:
         assert [a == b for a, b in zip(table[1:], clean[1:])] == same
 
 
+class TestSmallPrices:
+    """A denominator that underflows to 0 makes its form null, and the run
+    exits 0 with nothing on stderr."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return _tape_file(tmp_path, "small", generate(GenConfig.from_json(SMALL_PRICES)))
+
+    def test_acorr(self, capsys, path):
+        argv = ["--window", "20", "--start", "10", "--lag", "1", "--max-shift", "3"]
+        status, out, err = run(capsys, "acorr", str(path), *argv)
+        assert (status, err) == (0, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
+        tape = ingest(path.read_text(encoding="utf-8").splitlines())
+        for row in doc["rows"]:
+            pair = pair_windows(tape, WindowSpec(10, 20), 1, shift_j=row["j"])
+            (_, pa1), (_, pa2) = (adjusted_moments(w, 1, 1) for w in (pair.window1, pair.window2))
+            # the price form's denominator
+            assert paired_expectation(ADJPRICE_ADJPRICE, pair) * pa1 * pa2 == 0.0, row["j"]
+            assert row["price_form"] is None, row["j"]
+            assert None not in (row["definitional"], row["value_form"]), row["j"]
+
+    def test_xcorr(self, capsys, path):
+        status, out, err = run(capsys, "xcorr", str(path), "--window", "20", "--start", "10",
+                               "--lag", "1", "--max-shift", "3")
+        assert (status, err) == (0, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.SWEEP_SCHEMA)
+        assert all(r["definitional"] is not None for r in doc["rows"])
+
+
 class TestContrast:
+    def test_overflowed_return_is_null(self, capsys, tmp_path):
+        # tick 2's return 1e300 / 1e-300 overflows: stats writes r_1 null, and
+        # contrast writes the frequency mean, VaWAR and their gap null
+        path = tmp_path / "t.csv"
+        path.write_text("time,price,volume\n0,1e300,1\n1,1e-300,1\n2,1e300,1\n3,1,1\n",
+                        encoding="utf-8")
+        argv = [str(path), "--window", "2", "--start", "1", "--lag", "1"]
+        status, out, err = run(capsys, "contrast", *argv)
+        assert (status, err) == (0, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.CONTRAST_SCHEMA)
+        assert (doc["freq_mean_return"], doc["vawar"], doc["gap"]) == (None, None, None)
+        status, out, _ = run(capsys, "stats", *argv)
+        assert status == 0 and json.loads(out)["reports"][0]["r_n"][0] is None
+
     def test_json(self, capsys, fixture_csv):
         status, out, _ = run(
             capsys, "contrast", str(fixture_csv), "--window", "3", "--start",
@@ -664,6 +714,11 @@ class TestSimulate:
          "heavy-tail shape must be a real number, got [2]"),
         ({"volume": {"model": "constant", "level": True}},
          "volume level must be a real number, got True"),
+        # epsilon and coupling are not coerced, and an unknown key (a typo of
+        # "coupling") is not ignored
+        ({"epsilon": "2"}, "epsilon must be a real number, got '2'"),
+        ({"coupling": True}, "coupling must be a real number, got True"),
+        ({"coupeling": 0.5}, "unknown generator config keys ['coupeling']"),
     ])
     def test_non_numeric_field_is_one_error_line(self, capsys, tmp_path, model, message):
         doc = {"ticks": 20, "seed": 7, "price": {"model": "constant", "level": 2.0},
@@ -675,6 +730,19 @@ class TestSimulate:
         assert (status, stdout) == (1, "")
         assert err.splitlines() == [f"vawar simulate: error: {message}"]
         assert not out.exists()
+
+    def test_int_epsilon_round_trips(self, capsys, tmp_path):
+        doc = {"ticks": 3, "seed": 1, "epsilon": 2,
+               "price": {"model": "constant", "level": 1.0},
+               "volume": {"model": "constant", "level": 1.0}}
+        config = GenConfig.from_json(doc)
+        assert config.epsilon == 2 and type(config.epsilon) is int
+        assert GenConfig.from_json(json.dumps(config.to_json_dict())) == config
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        status, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (status, err) == (0, "")
+        assert out == "time,price,volume,value\n0,1,1,1\n2,1,1,1\n4,1,1,1\n"
 
 
 # A tape whose last volume cell is the byte 0xff, which is not UTF-8.

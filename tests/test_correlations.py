@@ -5,10 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from vawar import correlations
 from vawar.correlations import (
+    ADJPRICE_ADJPRICE,
+    CORR_R,
+    CORR_RP,
+    CORR_RU,
     PairedWindows,
     adjprice_volume_sq_corr,
     correlation_report,
+    pair_sweep,
     pair_windows,
     paired_expectation,
     return_autocorr,
@@ -20,9 +26,11 @@ from vawar.correlations import (
 from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow, OrderTooLarge
 from vawar.moments import adjusted_moments, freq_moment, price_moment, return_volatility
 from oracle import oracle
+from vawar.synth import GenConfig, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
 from helpers import (
+    SMALL_PRICES,
     assert_close,
     corr_pau2_anchor,
     corr_r_anchor,
@@ -256,6 +264,57 @@ class TestOverflowedMoments:
         c1, p1 = freq_moment(w.values, 1), price_moment(w, 1)
         assert rep.corr_C == rep.cross_value - c1 * c1
         assert rep.corr_p == rep.cross_price - p1 * p1
+
+
+def _same(a, b):
+    # equal fields, NaN matching NaN
+    return all(x == y or (math.isnan(x) and math.isnan(y))
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+class TestUnderflowedDenominators:
+    """A denominator that underflows to 0 makes its form NaN (null), as an
+    overflow does; it never raises ZeroDivisionError."""
+
+    @pytest.fixture
+    def tape(self):
+        return generate(GenConfig.from_json(SMALL_PRICES))
+
+    def test_return_autocorr(self, tape):
+        pair = pair_windows(tape, WindowSpec(10, 20), 1)
+        ac = return_autocorr(pair)
+        _, pa1 = adjusted_moments(pair.window1, 1, 1)
+        assert paired_expectation(ADJPRICE_ADJPRICE, pair) * pa1 * pa1 == 0.0
+        assert math.isnan(ac.price_form)
+        assert math.isfinite(ac.definitional) and math.isfinite(ac.value_form)
+
+    def test_one_window_estimators(self, tape):
+        window = resolve(tape, WindowSpec(10, 20), LagSpec(1))
+        vol = return_volatility(window, 1)
+        assert math.isfinite(vol.via_moments)
+        assert [type(f) for f in (vol.via_moments, vol.via_values, vol.via_prices)] == [float] * 3
+        rep = correlation_report(self_pair(window))
+        assert all(type(v) is float for v in rep.normalized.values())
+        assert type(rep.cross_return) is float and math.isfinite(rep.cross_return)
+        res = same_day_two_lag_autocorr(window, 1, 2)
+        assert math.isfinite(res.exact)
+
+    def test_sweep_equals_its_pairs(self, tape):
+        window, stats = WindowSpec(30, 20), (CORR_R, CORR_RU, CORR_RP)
+        rows = list(pair_sweep(tape, window, 1, 2, 8, stats, (2, 1)))
+        for j, (ac, ru, rp) in enumerate(rows):
+            pair = pair_windows(tape, window, 1, 2, j)
+            assert _same(ac, return_autocorr(pair)), j
+            assert _same(ru, return_volume_corr(pair)), j
+            assert _same(rp, return_price_corr(pair, 2, 1)), j
+        assert any(math.isnan(ac.price_form) for ac, _, _ in rows)
+
+    def test_normalize_underflowed_product_is_nan(self):
+        assert 1e-200 > 0 and 1e-200 * 1e-200 == 0.0
+        assert math.isnan(correlations._normalize(1e-210, 1e-200, 1e-200))
+        got = correlations._normalize(np.array([1e-210, 2.0]), np.array([1e-200, 4.0]),
+                                      np.array([1e-200, 1.0]))
+        assert np.isnan(got[0]) and got[1] == 1.0
 
 
 class TestTwoLagAutocorr:

@@ -1,10 +1,12 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vawar.errors import InvalidConfig
-from vawar.moments import return_moment
+from vawar.moments import freq_moment, return_moment
 from oracle import UnknownStatistic, oracle, statistics
 from vawar.synth import (
     ConstantPrice,
@@ -224,6 +226,21 @@ class TestWeightingContrast:
         assert res.vawar == pytest.approx(
             oracle(tape, window, lags, "vawar"), rel=1e-12
         )
+
+    def test_overflowed_return(self):
+        # the return 1e300 / 1e-300 is +inf and so is the frequency mean;
+        # freq_moment itself still rejects the non-finite series
+        from vawar.errors import NonFinite
+        from vawar.tape import TradeTape
+
+        tape = TradeTape.from_arrays([1e300, 1e-300, 1e300, 1.0], [1.0] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = weighting_contrast(tape, WindowSpec(1, 2), LagSpec(1))
+        assert res.freq_mean_return == math.inf
+        assert math.isnan(res.vawar) and math.isnan(res.gap)
+        with pytest.raises(NonFinite):
+            freq_moment([0.0, math.inf], 1)
 
 
 class TestWhaleDominance:
