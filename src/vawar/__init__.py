@@ -67,6 +67,7 @@ from .moments import (
     freq_moment,
     moment_report,
     moment_reports,
+    moment_table,
     price_moment,
     return_moment,
     return_series,

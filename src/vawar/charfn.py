@@ -406,7 +406,7 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
 
 def write_density_csv(dens: DensityGrid, stream):
     """Two-column CSV (r, density) with 17-significant-digit floats."""
-    write_csv_rows(stream, ("r", "density"), zip(dens.grid, dens.density))
+    write_csv_rows(stream, ("r", "density"), np.column_stack((dens.grid, dens.density)))
 
 
 @dataclass(frozen=True)

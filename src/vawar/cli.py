@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from contextlib import contextmanager
 
 from . import charfn
 from .correlations import CORR_R, CORR_RP, CORR_RU, pair_sweep
@@ -19,6 +20,7 @@ from .moments import (
     DEFAULT_ORDER_CAP,
     MomentReport,
     moment_reports,
+    moment_table,
 )
 from .reportio import SCHEMA_VERSION, Records, columns, dumps_json, write_csv_rows
 from .synth import GenConfig, generate, weighting_contrast
@@ -72,12 +74,19 @@ def _read_text(path):
         return fh.read()
 
 
-def _write_text(path, text):
+@contextmanager
+def _output(path):
+    # the stream of --out: standard output for None or "-", else the file
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(path, text):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _value_format(args, lines):
@@ -166,10 +175,9 @@ def _cmd_validate(args):
 
 
 def _cmd_stats(args):
-    reports = moment_reports(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
-                             args.order, args.stride, args.order_cap)
-    _emit(args, "stats", "reports", MomentReport.json_fields(args.order),
-          [r.csv_row() for r in reports])
+    table = moment_table(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
+                         args.order, args.stride, args.order_cap)
+    _emit(args, "stats", "reports", MomentReport.json_fields(args.order), table)
     return 0
 
 
@@ -238,9 +246,9 @@ def _cmd_density(args):
 def _cmd_simulate(args):
     config = GenConfig.from_json(_read_text(args.config))
     tape = generate(config)
-    sink = io.StringIO()
-    write_csv(tape, sink)
-    _write_text(args.out, sink.getvalue())
+    # written a block of rows at a time, never held whole
+    with _output(args.out) as fh:
+        write_csv(tape, fh)
     return 0
 
 

@@ -406,7 +406,7 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     """
     x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag_l).units
     [cau] = x.cross(ADJVALUE_VOLUME).tolist()
-    [(_, (u1, u2), _, (ca1, _), (pa1, _), _)] = x.x1.moments(2)
+    [(_, (u1, u2), _, (ca1, _), (pa1, _), _)] = x.x1.moments(2).tolist()
     direct = cau - pa1 * u2
     corr_cau = cau - ca1 * u1
     sigma_u2 = u2 - u1 * u1
@@ -479,15 +479,15 @@ def correlation_report(pair: PairedWindows) -> CorrelationReport:
         VALUE_VALUE, ADJVALUE_ADJVALUE, VOLUME_VOLUME, PRICE_PRICE, ADJPRICE_ADJPRICE,
         ADJVALUE_VOLUME))
     # each window's order-1 and order-2 moment tuples (C, U, p, C_a, p_a, r)
-    m1, m2 = (y.moments(2)[0] for y in (x.x1, x.x2))
-    (c1, u1, p1, ca1, pa1, _), (c2, u2, p2, ca2, pa2, _) = ([t[0] for t in m] for m in (m1, m2))
+    m = np.concatenate([y.moments(2) for y in (x.x1, x.x2)])
+    (c1, u1, p1, ca1, pa1, _), (c2, u2, p2, ca2, pa2, _) = m[..., 0].tolist()
     # the estimators read the cross expectations above from the same pair
     [ac], [ru], [rp] = _autocorr(x), _volume_corr(x), _price_corr(x, 1, 1)
     corrs = dict(zip(_NORMALIZED, (
         _corr(cross_c, c1, c2), _corr(cross_ca, ca1, ca2), _corr(cross_u, u1, u2),
         _corr(cross_p, p1, p2), _corr(cross_pa, pa1, pa2), ac.definitional)))
     # each window's dispersions, matching _NORMALIZED
-    s1, s2 = np.array((_sigmas(*m1), _sigmas(*m2)))
+    s1, s2 = _sigmas(m)
     return CorrelationReport(
         window1_start=w1.start,
         window2_start=w2.start,

@@ -33,9 +33,12 @@ first use.  Each moment is one reduction over the last axis, and each
 window's scales are restored with Python ``float ** int``, so a sweep is
 byte-identical to its windows computed one at a time.  ``_Series.blocks``
 cuts every sweep's windows from the tape, one contiguous row each: the
-strided windows of ``moment_reports`` and the shifted twins of
-``correlations.pair_sweep``.  The public moment functions, the
-dispersions and the volatilities are views of a block of one.
+strided windows of ``moment_table`` and the shifted twins of
+``correlations.pair_sweep``.  ``moment_table`` gives a sweep as one
+float64 array in the report layout, which ``stats`` hands to the writer;
+``moment_reports`` reads its rows back as ``MomentReport``s.  The public
+moment functions, the dispersions and the volatilities are views of a
+block of one.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,21 +67,23 @@ CONVENTIONAL = "conventional"
 LOG = "log"
 
 
-def check_order(n, count=None, order_cap=DEFAULT_ORDER_CAP):
-    """A moment order n >= 1 as an int; warn above the cap or window size."""
+def check_order(n, count=None, order_cap=DEFAULT_ORDER_CAP, stacklevel=3):
+    """A moment order n >= 1 as an int; warn above the cap or window size.
+    The warnings name the frame ``stacklevel`` up (3: the caller of the
+    function that checks)."""
     n = integral("moment order", n, 1)
     if n > order_cap:
         warnings.warn(
             f"moment order {n} exceeds cap {order_cap}; result is computed anyway",
             OrderTooLarge,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     if count is not None and n > count:
         warnings.warn(
             f"moment order {n} exceeds window size {count}; "
             "the estimate is statistically meaningless",
             OrderExceedsWindow,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return n
 
@@ -122,10 +127,14 @@ def _power(s, n):
 
 
 def _scaled(scales, xs, n):
-    # scale**n * x of each window: the scales go back in with Python
-    # float ** int, as numpy's array power rounds differently and output
-    # must not depend on how windows are batched
-    return [_power(s, n) * x for s, x in zip(scales, xs.tolist())]
+    # scale**n * x of each window: the scales go back in with Python's pow,
+    # as numpy's array power rounds differently and output must not depend
+    # on how windows are batched; a scale whose power overflows gives inf
+    try:
+        powers = list(map(pow, scales, repeat(n)))
+    except OverflowError:
+        powers = [_power(s, n) for s in scales]
+    return np.array(powers) * xs
 
 
 def _unit_series(series):
@@ -195,17 +204,17 @@ class _Series:
     @_quiet
     def value_moment(self, n):
         s, a = self.value
-        return np.array(_scaled(s, np.mean(a**n, axis=-1), n))
+        return _scaled(s, np.mean(a**n, axis=-1), n)
 
     @_quiet
     def volume_moment(self, n):
         un, su = self.volume_powers(n)
-        return np.array(_scaled(self.volume[0], su / un.shape[-1], n))
+        return _scaled(self.volume[0], su / un.shape[-1], n)
 
     @_quiet
     def price_moment(self, n):
         (v, va), (un, su) = self.vwap, self.volume_powers(n)
-        return np.array(_scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n))
+        return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
 
     @_quiet
     def adjusted_moments(self, n):
@@ -221,12 +230,11 @@ class _Series:
         return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n)
 
     def moments(self, top):
-        """The order 1..top moment tuples (C, U, p, C_a, p_a, r) of each
-        window, as Python floats."""
-        by_order = np.array([(self.value_moment(n), self.volume_moment(n), self.price_moment(n),
-                              *self.adjusted_moments(n), self.return_moment(n))
-                             for n in range(1, top + 1)])
-        return [tuple(map(tuple, w)) for w in by_order.transpose(2, 1, 0).tolist()]
+        """The order 1..top moments of each window, as a ``(windows, 6,
+        top)`` array: the families C, U, p, C_a, p_a, r, by order."""
+        return np.array([(self.value_moment(n), self.volume_moment(n), self.price_moment(n),
+                          *self.adjusted_moments(n), self.return_moment(n))
+                         for n in range(1, top + 1)]).transpose(2, 1, 0)
 
 
 def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
@@ -294,16 +302,18 @@ class Dispersions:
         return (self.sigma_C2, self.sigma_Ca2, self.sigma_U2, self.sigma_p2, self.sigma_pa2)
 
 
-def _sigmas(c, u, p, ca, pa, r):
-    # The six dispersions, in _SIGMAS order, from order-1 and order-2 moment tuples
-    return tuple(x[1] - x[0] * x[0] for x in (c, ca, u, p, pa, r))
+@_quiet
+def _sigmas(m):
+    # The six dispersions x_2 - x_1 x_1, in _SIGMAS order, of moments m of
+    # shape (..., 6, top >= 2) in _FAMILIES order
+    return (m[..., 1] - m[..., 0] * m[..., 0])[..., [0, 3, 1, 2, 4, 5]]
 
 
 def dispersions(window: ResolvedWindow, lag_l) -> Dispersions:
     """Dispersions of values, adjusted values, volumes, and (market-based)
     prices and adjusted prices over the window."""
-    [moments] = _Series.of(window, lag_l).moments(2)
-    return Dispersions(*_sigmas(*moments)[:5])
+    [sigmas] = _sigmas(_Series.of(window, lag_l).moments(2)).tolist()
+    return Dispersions(*sigmas[:5])
 
 
 @dataclass(frozen=True)
@@ -329,9 +339,9 @@ def return_volatility(window: ResolvedWindow, lag_l) -> ReturnVolatility:
     via_values:   [sigma_C^2 Ca1^2 - sigma_Ca^2 C1^2] / [Ca1^2 Ca2]
     via_prices:   [sigma_p^2 pa1^2 - sigma_pa^2 p1^2] / [pa1^2 pa2]
     """
-    [moments] = _Series.of(window, lag_l).moments(2)
-    (c1, _), _, (p1, _), (ca1, ca2), (pa1, pa2), _ = m = np.array(moments)
-    s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(*m)
+    [m] = _Series.of(window, lag_l).moments(2)
+    (c1, _), _, (p1, _), (ca1, ca2), (pa1, pa2), _ = m
+    s_c, s_ca, _, s_p, s_pa, s_r = _sigmas(m)
     return ReturnVolatility(
         via_moments=float(s_r),
         via_values=float((s_c * ca1 * ca1 - s_ca * c1 * c1) / (ca1 * ca1 * ca2)),
@@ -386,6 +396,15 @@ class MomentReport:
     def csv_header(order_max):
         return columns(MomentReport.json_fields(order_max))
 
+    @classmethod
+    def from_row(cls, row):
+        """The report of one ``csv_row`` of Python numbers, such as a row of
+        :func:`moment_table`; the header cells become ints."""
+        start, count, lag_l, order_max = map(int, row[:4])
+        ends = range(4, 4 + 7 * order_max, order_max)
+        return cls(start, count, lag_l, order_max,
+                   *(tuple(row[a:b]) for a, b in zip(ends, ends[1:])), *row[ends[-1]:])
+
     def csv_row(self):
         return (self.window_start, self.window_count, self.lag_l, self.order_max,
                 *self.value_moments, *self.volume_moments, *self.price_moments,
@@ -394,27 +413,40 @@ class MomentReport:
                 self.sigma_r2)
 
 
-def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
-                   order_cap=DEFAULT_ORDER_CAP):
-    """Reports of the window and of every later window ``stride`` ticks on
-    that fits in the tape (the window alone when ``stride`` is 0).
+def _table(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
+    # moment_table, its order warnings naming the caller of its caller
+    stride = integral("stride", stride, 0)
+    lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
+    count, first = window.count, window.start
+    order_max = check_order(order_max, count=count, order_cap=order_cap, stacklevel=4)
+    top = max(order_max, 2)  # the dispersions need order 2
+    # one step past the end when stride is 0: the first window only
+    starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
+    m = np.concatenate([x.moments(top) for x in _Series.blocks(tape, starts, count, lag_l)])
+    head = np.tile((0.0, count, lag_l, order_max), (len(m), 1))
+    head[:, 0] = starts
+    return np.hstack((head, m[..., :order_max].reshape(len(m), -1), _sigmas(m)))
+
+
+def moment_table(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
+                 order_cap=DEFAULT_ORDER_CAP):
+    """The reports of :func:`moment_reports` as one float64 array, one
+    ``csv_row`` per window: the header cells (whole numbers), each moment
+    family's orders 1..order_max, then the six sigmas.
 
     Raises what :func:`vawar.tape.resolve` raises for the first window.
     Windows are computed in blocks of about ``BLOCK_ELEMENTS`` ticks.
     """
-    stride = integral("stride", stride, 0)
-    lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
-    count, first = window.count, window.start
-    order_max = check_order(order_max, count=count, order_cap=order_cap)
-    top = max(order_max, 2)  # the dispersions need order 2
-    # one step past the end when stride is 0: the first window only
-    starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
-    rows = chain.from_iterable(x.moments(top) for x in _Series.blocks(tape, starts, count, lag_l))
-    return [MomentReport(start, count, lag_l, order_max,
-                         c[:order_max], u[:order_max], p[:order_max], ca[:order_max],
-                         pa[:order_max], r[:order_max],
-                         *_sigmas(c, u, p, ca, pa, r))
-            for start, (c, u, p, ca, pa, r) in zip(starts.tolist(), rows)]
+    return _table(tape, window, lag_l, order_max, stride, order_cap)
+
+
+def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
+                   order_cap=DEFAULT_ORDER_CAP):
+    """Reports of the window and of every later window ``stride`` ticks on
+    that fits in the tape (the window alone when ``stride`` is 0): the rows
+    of :func:`moment_table`."""
+    table = _table(tape, window, lag_l, order_max, stride, order_cap)
+    return list(map(MomentReport.from_row, table.tolist()))
 
 
 def moment_report(

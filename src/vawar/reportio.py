@@ -15,6 +15,14 @@ written by one ``%`` over the flat tuple of its numbers.  So the formatter
 recurses over containers and shapes, never over the numbers, and holds at
 most ``_CHUNK`` rows at a time.
 
+Rows may also come as a 2-D float64 array, one row per report row, which
+is read ``_CHUNK`` rows at a time.  A chunk whose cells are all finite is
+written with the one all-float template of its width and one ``%`` over
+its cells; a chunk that holds a NaN or an infinity goes through the row
+loop above, as a list of float rows.  A whole-number column may be stored
+as floats: ``"%.17g" % float(i) == "%d" % i`` for every |i| < 1e17, so it
+is written as its ints would be.
+
 Cell rules, the same in every report:
 
 - a finite float is ``%.17g``, an int is ``%d``;
@@ -37,6 +45,8 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import chain, compress
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 #: Format of every float written (17 significant digits round-trip binary64).
@@ -49,7 +59,8 @@ class Records:
 
     ``fields`` are key names, or ``(name, width)`` pairs for a list-valued
     key whose ``width`` items are consecutive cells of the row.  Each row
-    is a flat sequence of cells (as for :func:`write_csv_rows`).
+    is a flat sequence of cells, or a row of a 2-D float array (as for
+    :func:`write_csv_rows`).
     """
 
     def __init__(self, fields, rows):
@@ -168,9 +179,21 @@ def _run_text(template, slots, run):
 
 
 def _rows(rows, style, fields=None, indent=0, level=0):
-    """Yield the text of ``rows`` (sequences of cells), one run of rows of
-    one shape, of at most ``_CHUNK`` rows, at a time."""
+    """Yield the text of ``rows`` (sequences of cells, or a 2-D float
+    array), one run of rows of one shape, of at most ``_CHUNK`` rows, at a
+    time."""
     json_out = style != "csv"
+    if isinstance(rows, np.ndarray):
+        width = rows.shape[1]
+        shape = (_row_type((float,) * width, json_out), (), (True,) * width)
+        template, _ = _template(style, fields, indent, level, shape)
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = rows[lo:lo + _CHUNK]
+            if np.isfinite(chunk).all():
+                yield (template * len(chunk)) % tuple(chunk.ravel().tolist())
+            else:
+                yield from _rows(chunk.tolist(), style, fields, indent, level)
+        return
     render = _json_value if json_out else _csv_value
     write = partial(_json, indent=indent, level=level + 1) if json_out else str
     types = shape = None
@@ -228,7 +251,8 @@ def dumps_json(obj, indent=2) -> str:
 
 
 def write_csv_rows(stream, header, rows):
-    """Emit a delimited table with deterministic cell formatting."""
+    """Emit a delimited table with deterministic cell formatting; ``rows``
+    are sequences of cells or a 2-D float array."""
     stream.write(",".join(header) + "\n")
     for text in _rows(rows, "csv"):
         stream.write(text)

@@ -381,7 +381,7 @@ def write_csv(tape: TradeTape, stream, include_value=True):
     floats (lossless round trip)."""
     k = 4 if include_value else 3
     fields = (tape.times, tape.prices, tape.volumes, tape.values)[:k]
-    write_csv_rows(stream, _COLUMNS[:k], zip(*fields))
+    write_csv_rows(stream, _COLUMNS[:k], np.column_stack(fields))
 
 
 def infer_epsilon(lines):

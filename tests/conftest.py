@@ -1,11 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
+
+# HYPOTHESIS_PROFILE=ci raises the budget of the property tests that take it
+# from the profile (tests/test_reportio.py); the default keeps each test's own.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Canonical 4-tick tape used throughout: p = [2,2,4,2], U = [10,5,10,5],
 # window = ticks {1,2,3}, lag 1.  Every closed-form expectation below is

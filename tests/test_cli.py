@@ -11,7 +11,8 @@ from vawar.charfn import fit_charfn, invert_density, write_density_csv
 from vawar.cli import build_parser, main
 from vawar.correlations import ADJPRICE_ADJPRICE, pair_windows, paired_expectation
 from vawar.errors import OrderExceedsWindow
-from vawar.moments import MomentReport, adjusted_moments, moment_reports, return_moment
+from vawar.moments import (MomentReport, adjusted_moments, moment_report, moment_reports,
+                           return_moment)
 from vawar.reportio import SCHEMA_VERSION, dumps_json
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, ingest, resolve, write_csv
@@ -552,6 +553,37 @@ class TestScaleOverflow:
         rows = run(capsys, "stats", str(big), *argv, "--format", "csv")[1].splitlines()
         clean = run(capsys, "stats", str(walk), *argv, "--format", "csv")[1].splitlines()
         assert [a == b for a, b in zip(rows, clean)] == [j != k + 1 for j in range(len(clean))]
+
+    def test_stats_sweep_across_chunks(self, capsys, tmp_path):
+        # 391 windows of 10 ticks at stride 1; ticks 111 and 261 priced 1e160
+        # overflow the order-2 moments of the windows that hold them (as a
+        # tick or as a lagged price): report rows 101..111, inside the
+        # writer's first 256-row chunk, and 251..261, across its edge.  Each
+        # row is written as the reference writer writes its window's report
+        # computed alone, and no numpy warning is raised.
+        rng = np.random.default_rng(11)
+        prices = 10.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 401)))
+        prices[[111, 261]] = 1e160
+        tape = TradeTape.from_arrays(prices, rng.uniform(1.0, 5.0, 401))
+        path = _tape_file(tmp_path, "big", tape)
+        reports = [moment_report(resolve(tape, WindowSpec(s, 10), LagSpec(1)), 1, 2)
+                   for s in range(1, 392)]
+        want_json = old_dumps_json({"schema_version": 1, "subcommand": "stats",
+                                    "reports": [r.to_dict() for r in reports]})
+        want_csv = io.StringIO()
+        old_write_csv_rows(want_csv, MomentReport.csv_header(2), [r.csv_row() for r in reports])
+        argv = ["stats", str(path), "--window", "10", "--start", "1", "--lag", "1",
+                "--stride", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run(capsys, *argv)[1]
+            table = run(capsys, *argv, "--format", "csv")[1]
+        # compared as lines: pytest explains a long string mismatch slowly
+        assert out.splitlines(True) == want_json.splitlines(True)
+        assert table.splitlines(True) == want_csv.getvalue().splitlines(True)
+        nulls = [j for j, row in enumerate(table.splitlines()[1:])
+                 if ",," in row or row.endswith(",")]
+        assert nulls == [*range(101, 112), *range(251, 262)]
 
     def test_xcorr(self, capsys, tmp_path):
         # window 1's lagged price is tick 40, so every row holds it; every

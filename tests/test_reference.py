@@ -37,9 +37,11 @@ from vawar.correlations import (
 )
 from vawar.errors import InsufficientHistory, MismatchedWindows, OrderTooLarge
 from vawar.moments import (
+    MomentReport,
     adjusted_moments,
     dispersions,
     freq_moment,
+    moment_report,
     moment_reports,
     price_moment,
     return_moment,
@@ -403,6 +405,29 @@ class TestMomentsOldPath:
             assert got == want, rep.window_start
             assert (rep.sigma_C2, rep.sigma_U2, rep.sigma_p2, rep.sigma_Ca2, rep.sigma_pa2,
                     rep.sigma_r2) == _old_sigmas(want)
+
+    @pytest.mark.parametrize("order", [1, 2, 8])
+    def test_reports_are_python_numbers(self, name, order):
+        # the reports, read back from the kernel's float table, equal the
+        # reports built from the reference moments: header cells are ints,
+        # each family a tuple of order floats, each sigma a float
+        tape, lag = _sweep_tape(name), 2
+        reports = moment_reports(tape, WindowSpec(lag, SWEEP_COUNT), lag, order, 5)
+        assert len(reports) == (len(tape) - SWEEP_COUNT - lag) // 5 + 1
+        for rep in reports:
+            window = resolve(tape, WindowSpec(rep.window_start, SWEEP_COUNT), LagSpec(lag))
+            families = old_window_moments(window, lag, max(order, 2))
+            s_c, s_u, s_p, s_ca, s_pa, s_r = _old_sigmas(families)
+            want = MomentReport(rep.window_start, SWEEP_COUNT, lag, order,
+                                *(f[:order] for f in families), s_c, s_ca, s_u, s_p, s_pa, s_r)
+            assert rep == want
+            assert moment_report(window, lag, order) == want
+            row = rep.csv_row()
+            assert [type(x) for x in row[:4]] == [int] * 4
+            assert [type(x) for x in row[4:]] == [float] * (6 * order + 6)
+            assert [(type(f), len(f)) for f in (
+                rep.value_moments, rep.volume_moments, rep.price_moments, rep.adj_value_moments,
+                rep.adj_price_moments, rep.return_moments)] == [(tuple, order)] * 6
 
     def test_single_window_views(self, name):
         for pair in _pairs(name):

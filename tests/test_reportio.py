@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,13 +51,19 @@ def _documents(leaves):
 DOCUMENTS = _documents(SCALARS)
 
 
-@settings(max_examples=250, deadline=None)
+def budget(n):
+    # n examples, or the loaded hypothesis profile's budget where that is
+    # larger (HYPOTHESIS_PROFILE=ci, registered in conftest.py)
+    return max(n, settings.default.max_examples)
+
+
+@settings(max_examples=budget(250), deadline=None)
 @given(DOCUMENTS, st.sampled_from([0, 1, 2, 4]))
 def test_json_matches_recursive_writer(doc, indent):
     assert dumps_json(doc, indent) == old_dumps_json(doc, indent)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=budget(200), deadline=None)
 @given(st.lists(st.tuples(st.integers(), SCALARS, SCALARS), max_size=40), st.integers(1, 4))
 def test_records_match_in_every_chunking(rows, chunk):
     dicts = [dict(zip("jxy", row)) for row in rows]
@@ -65,7 +72,7 @@ def test_records_match_in_every_chunking(rows, chunk):
         assert dumps_json({"rows": Records("jxy", rows)}) == old_dumps_json({"rows": dicts})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=budget(200), deadline=None)
 @given(st.lists(st.lists(SCALARS, max_size=5), max_size=12), st.integers(1, 4))
 def test_csv_matches_old_writer(rows, chunk):
     with pytest.MonkeyPatch.context() as mp:
@@ -74,6 +81,55 @@ def test_csv_matches_old_writer(rows, chunk):
         write_csv_rows(new, ["a", "b"], rows)
     old_write_csv_rows(old, ["a", "b"], rows)
     assert new.getvalue() == old.getvalue()
+
+
+# Cells of float tables: the edges of binary64, and whole numbers up to
+# 2**53 for the columns that hold ints
+EDGE_FLOATS = [NAN, INF, -INF, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308,
+               -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+WHOLE = [0, 1, -1, 390, 10**16, 2**53 - 1, 2**53, -(2**53)]
+
+
+@st.composite
+def float_tables(draw):
+    """(ints, width, table): a 2-D float array of 0, 1, 255, 256, 257 or
+    513 rows whose first ``ints`` columns hold whole numbers, the next
+    ``width`` a list field, then one to three floats; maybe with a NaN or an
+    infinity on a row at a chunk edge."""
+    rows = draw(st.sampled_from([0, 1, 255, 256, 257, 513]))
+    ints, width, floats = draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.one_of(finite, st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=6))
+    whole = draw(st.lists(st.one_of(st.integers(-(2**53), 2**53), st.sampled_from(WHOLE)),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.empty((rows, ints + width + floats))
+    table[:, :ints] = rng.choice(np.array(whole, dtype=np.float64), (rows, ints))
+    table[:, ints:] = rng.choice(np.array(pool), (rows, width + floats))
+    edges = [k for k in (0, 255, 256, 511, 512, rows - 1) if 0 <= k < rows]
+    if edges and draw(st.booleans()):
+        k, j = draw(st.sampled_from(edges)), draw(st.integers(ints, table.shape[1] - 1))
+        table[k, j] = draw(st.sampled_from([NAN, INF, -INF]))
+    return ints, width, table
+
+
+@settings(max_examples=budget(100), deadline=None)
+@given(float_tables())
+def test_float_tables_match_old_writer(case):
+    # a float array writes as its rows of Python numbers did, whole-number
+    # columns as ints: CSV and Records JSON
+    ints, width, table = case
+    rows = [[*map(int, row[:ints]), *row[ints:]] for row in table.tolist()]
+    names = [f"i{k}" for k in range(ints)] + [f"f{k}" for k in range(table.shape[1] - ints - width)]
+    new, old = io.StringIO(), io.StringIO()
+    write_csv_rows(new, names, table)
+    old_write_csv_rows(old, names, rows)
+    assert new.getvalue() == old.getvalue()
+
+    fields = (*names[:ints], ("xs_n", width), *names[ints:])
+    dicts = [{**dict(zip(names[:ints], row)), "xs_n": row[ints:ints + width],
+              **dict(zip(names[ints:], row[ints + width:]))} for row in rows]
+    assert dumps_json({"rows": Records(fields, table)}) == old_dumps_json({"rows": dicts})
 
 
 @pytest.mark.parametrize("chunk", [2, 4, 256])
