@@ -67,7 +67,6 @@ from .moments import (
     freq_moment,
     moment_report,
     moment_reports,
-    moment_table,
     price_moment,
     return_moment,
     return_series,

@@ -47,7 +47,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -127,14 +126,10 @@ def _power(s, n):
 
 
 def _scaled(scales, xs, n):
-    # scale**n * x of each window: the scales go back in with Python's pow,
-    # as numpy's array power rounds differently and output must not depend
-    # on how windows are batched; a scale whose power overflows gives inf
-    try:
-        powers = list(map(pow, scales, repeat(n)))
-    except OverflowError:
-        powers = [_power(s, n) for s in scales]
-    return np.array(powers) * xs
+    # scale**n * x of each window: the scales go back in with Python
+    # float ** int, as numpy's array power rounds differently and output
+    # must not depend on how windows are batched
+    return np.array([_power(s, n) for s in scales]) * xs
 
 
 def _unit_series(series):

@@ -20,8 +20,9 @@ is read ``_CHUNK`` rows at a time.  A chunk whose cells are all finite is
 written with the one all-float template of its width and one ``%`` over
 its cells; a chunk that holds a NaN or an infinity goes through the row
 loop above, as a list of float rows.  A whole-number column may be stored
-as floats: ``"%.17g" % float(i) == "%d" % i`` for every |i| < 1e17, so it
-is written as its ints would be.
+as floats: every whole number |i| <= 2**53 is held exactly by a float64,
+and ``"%.17g" % float(i) == "%d" % i`` for each, so it is written as its
+ints would be.
 
 Cell rules, the same in every report:
 

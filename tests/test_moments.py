@@ -65,17 +65,10 @@ class TestFreqMoment:
         assert moments._scaled([1e200, 2.0], xs, 2).tolist() == [math.inf, 12.0]
         assert moments._scaled([-1e200, 2.0], xs, 3).tolist() == [-math.inf, 24.0]
         assert moments._scaled([1e100, 2.0], xs, 2).tolist() == [1e100**2, 12.0]
-
-    def test_scaled_overflow_mid_block(self):
-        # pow raises on the third scale: every scale of the block is then
-        # restored one at a time, the others exactly as pow restores them
+        # an overflow mid-block leaves the other scales as float ** int gives them
         scales = [1.5, -3.0, 1e200, 0.7, -1e120]
-        xs = np.array([2.0, 0.5, 1.0, 3.0, 1.0])
-        want = [s**3 * x if abs(s) < 1e100 else math.copysign(math.inf, s)
-                for s, x in zip(scales, xs.tolist())]
-        assert moments._scaled(scales, xs, 3).tolist() == want
-        assert moments._scaled(scales[:2] + scales[3:4], xs[[0, 1, 3]], 3).tolist() == [
-            want[0], want[1], want[3]]
+        assert moments._scaled(scales, np.array([2.0, 0.5, 1.0, 3.0, 1.0]), 3).tolist() == [
+            1.5**3 * 2.0, (-3.0)**3 * 0.5, math.inf, 0.7**3 * 3.0, -math.inf]
 
 
 class TestPriceMoment:
