@@ -8,6 +8,7 @@ from array import array
 
 import numpy as np
 
+from vawar import charfn
 from vawar.errors import EmptyTape, MalformedRow, NonFinite, TapeError
 
 from vawar.synth import (
@@ -291,6 +292,47 @@ def old_write_csv_rows(stream, header, rows):
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(old_csv_cell(x) for x in row) + "\n")
+
+
+def old_invert_density(approx, grid=None, x_points=charfn.X_POINTS):
+    """charfn.invert_density as written before its trig tables were
+    filled in threads: one serial cos and one sin of each block's angles."""
+    charfn._check_integrable(approx)
+    if grid is None:
+        grid = charfn.GridSpec.for_approx(approx)
+    half = charfn._x_half_width(approx)
+    xs = np.linspace(-half, half, x_points)
+    qs = np.exp(charfn._exponent(approx, xs))
+    dx = xs[1] - xs[0]
+    weights = np.full(x_points, dx)
+    weights[0] = weights[-1] = dx / 2.0
+    rs = grid.grid
+    mid = x_points // 2
+    xs_pos = xs[mid:]
+    wq = weights[mid:] * qs[mid:]
+    re_wq = np.ascontiguousarray(np.real(wq))
+    im_wq = np.ascontiguousarray(np.imag(wq))
+    density = np.empty(rs.size)
+    chunk = max(1, 2**22 // xs_pos.size)
+    for lo in range(0, rs.size, chunk):
+        hi = min(lo + chunk, rs.size)
+        angles = np.outer(rs[lo:hi], xs_pos)
+        density[lo:hi] = np.cos(angles) @ re_wq + np.sin(angles) @ im_wq
+    density /= math.pi
+
+    step = float(rs[1] - rs[0])
+    residuals = []
+    for n in range(1, approx.order + 1):
+        grid_moment = float(np.trapezoid(rs**n * density, dx=step))
+        target = approx.moments[n - 1]
+        residuals.append((grid_moment - target) / max(abs(target), 1.0))
+    return charfn.DensityGrid(
+        grid=rs, density=density, step=step, approx=approx, x_half_width=half,
+        x_points=x_points,
+        normalization_residual=float(np.trapezoid(density, dx=step)) - 1.0,
+        moment_residuals=tuple(residuals),
+        negative_mass=-float(np.trapezoid(np.minimum(density, 0.0), dx=step)),
+        min_density=float(np.min(density)))
 
 
 def old_ingest(source, value_format="derive_value", epsilon=1.0):

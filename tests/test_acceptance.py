@@ -396,7 +396,7 @@ def test_c10_cli_determinism(tmp_path, capsys):
     out1 = capsys.readouterr().out
     assert main(argv) == 0
     out2 = capsys.readouterr().out
-    assert out1 == out2, "stats output must be byte-identical"
+    assert out1.splitlines(True) == out2.splitlines(True), "stats output must be byte-identical"
 
     rep = json.loads(out1)["reports"][0]
     assert_close(rep["p_n"][0], 3.0, REL_ID)

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from vawar import charfn
 from vawar.charfn import (
     CharFnApprox,
     GridSpec,
@@ -23,6 +24,8 @@ from vawar.errors import (
     OrderZero,
     QuadratureDivergence,
 )
+
+from helpers import old_invert_density
 
 THREE_POINT = ([0.9, 1.0, 1.25], [0.3, 0.5, 0.2])
 
@@ -221,6 +224,10 @@ class TestInversion:
         with pytest.raises(QuadratureDivergence):
             invert_density(bad)
 
+    def test_odd_x_points(self):
+        with pytest.raises(InvalidDensityParameter, match="^x_points must be even"):
+            invert_density(fit_charfn([1.2, 2.0]), x_points=63)
+
     def test_custom_grid(self):
         approx = fit_charfn([1.2, 2.0])
         grid = GridSpec(-3.0, 6.0, 513)
@@ -251,6 +258,38 @@ class TestInversion:
         assert doc["order"] == 2
         assert doc["coefficients"][0] == pytest.approx(1.2)
         assert doc["points"] == dens.grid.size
+
+
+# An undamped Gaussian fit, and damped fits of orders 4 and 6.
+FITS = {2: fit_charfn([1.2, 2.0]), 4: fit_charfn(law_moments(4)), 6: fit_charfn(law_moments(6))}
+
+
+@pytest.mark.parametrize("order", sorted(FITS))
+@pytest.mark.parametrize("points", [9, 2001, 4097])
+@pytest.mark.parametrize("x_points", [64, 1000, 2**14])
+def test_threaded_inversion_matches_serial_loop(monkeypatch, order, points, x_points):
+    # The BLAS products have the same shapes on both paths, so the bytes
+    # agree at any BLAS thread count.
+    approx = FITS[order]
+    grid = GridSpec.for_approx(approx, points=points)
+    want = old_invert_density(approx, grid, x_points)
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(charfn, "_usable_cpus", lambda: workers)
+        got = invert_density(approx, grid, x_points)
+        assert np.array_equal(got.density, want.density), workers
+        assert got.sidecar_dict() == want.sidecar_dict(), workers
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    def trig(x, out):
+        if x[0, 0] > 0:  # the slices after the first, which run in threads
+            raise FloatingPointError("slice fault")
+        return np.cos(x, out=out)
+
+    monkeypatch.setattr(charfn, "_usable_cpus", lambda: 3)
+    out = np.empty((6, 4))
+    with pytest.raises(FloatingPointError, match="slice fault"):
+        charfn._fill_trig(trig, np.arange(6.0), np.ones(4), out)
 
 
 class TestGaussian2:

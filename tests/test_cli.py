@@ -127,7 +127,7 @@ class TestDeterminism:
                 "--lag", "1", "--order", "4")
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+        assert out1.splitlines(True) == out2.splitlines(True)
 
     @pytest.mark.parametrize("stride", [1, 13])
     def test_sweep_reports_match_single_window_runs(self, capsys, tmp_path,
@@ -160,7 +160,7 @@ class TestDeterminism:
         }), encoding="utf-8")
         _, out1, _ = run(capsys, "simulate", "--config", str(cfg))
         _, out2, _ = run(capsys, "simulate", "--config", str(cfg))
-        assert out1 == out2
+        assert out1.splitlines(True) == out2.splitlines(True)
 
 
 # (subcommand, option, value) pairs that argparse must reject
@@ -320,10 +320,11 @@ class TestDensity:
             dens = invert_density(fit_charfn([return_moment(window, 1, n) for n in range(1, 7)]))
         want = io.StringIO()
         write_density_csv(dens, want)
-        assert out.read_text(encoding="utf-8") == want.getvalue()
+        assert out.read_text(encoding="utf-8").splitlines(True) == want.getvalue().splitlines(True)
         sidecar = {"schema_version": SCHEMA_VERSION, "subcommand": "density",
                    **dens.sidecar_dict()}
-        assert (tmp_path / "density.csv.json").read_text(encoding="utf-8") == dumps_json(sidecar)
+        assert ((tmp_path / "density.csv.json").read_text(encoding="utf-8").splitlines(True)
+                == dumps_json(sidecar).splitlines(True))
 
 
 # (arguments, exit status, text of the error line)
@@ -376,7 +377,9 @@ HOSTILE = {
 class TestOutputBytes:
     """Reports as the recursive writer wrote them from the per-row dicts
     (``to_dict`` and the sweep row dicts), byte for byte, including rows
-    whose shape differs from their neighbours'."""
+    whose shape differs from their neighbours'.  Compared as lists of
+    lines, which pytest explains at once where a long string takes a
+    quadratic diff."""
 
     @staticmethod
     def stats_reference(path, order, stride):
@@ -396,8 +399,9 @@ class TestOutputBytes:
         want_json, want_csv = self.stats_reference(path, order, 1)
         argv = ["stats", str(path), "--window", "12", "--start", "3", "--lag", "1",
                 "--order", str(order), "--stride", "1"]
-        assert run(capsys, *argv)[1] == want_json
-        assert run(capsys, *argv, "--format", "csv")[1] == want_csv
+        assert run(capsys, *argv)[1].splitlines(True) == want_json.splitlines(True)
+        assert (run(capsys, *argv, "--format", "csv")[1].splitlines(True)
+                == want_csv.splitlines(True))
 
     def test_stats_non_finite_report(self, capsys, tmp_path):
         # tick 40 alone carries a value of 3e154: the order-2 value moment of
@@ -415,13 +419,13 @@ class TestOutputBytes:
         reports = moment_reports(tape, WindowSpec(1, 3), 1, 2, 3)
         doc = {"schema_version": 1, "subcommand": "stats",
                "reports": [r.to_dict() for r in reports]}
-        assert out == old_dumps_json(doc)
+        assert out.splitlines(True) == old_dumps_json(doc).splitlines(True)
         k = 13  # the window of ticks 40..42
         assert [("null" in text) for text in out.split("\n    },\n")] == [
             j == k for j in range(len(reports))]
         want = io.StringIO()
         old_write_csv_rows(want, MomentReport.csv_header(2), [r.csv_row() for r in reports])
-        assert table == want.getvalue()
+        assert table.splitlines(True) == want.getvalue().splitlines(True)
         rows = table.splitlines()[1:]
         assert [",," in row or row.endswith(",") for row in rows] == [
             j == k for j in range(len(reports))]
@@ -439,11 +443,11 @@ class TestOutputBytes:
         out = run(capsys, *argv)[1]
         table = run(capsys, *argv, "--format", "csv")[1]
         doc = json.loads(out, parse_int=float)  # "-0" stays a float
-        assert out == old_dumps_json(doc)
+        assert out.splitlines(True) == old_dumps_json(doc).splitlines(True)
         columns = table.splitlines()[0].split(",")
         want = io.StringIO()
         old_write_csv_rows(want, columns, [[row[c] for c in columns] for row in doc["rows"]])
-        assert table == want.getvalue()
+        assert table.splitlines(True) == want.getvalue().splitlines(True)
         if subcommand == "xcorr":  # corr_rp rows have no price form
             shapes = [(row["statistic"], row["price_form"] is None) for row in doc["rows"]]
             assert shapes == [("corr_rU", False), ("corr_rp", True)] * 51
