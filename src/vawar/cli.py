@@ -4,6 +4,13 @@ contrast.
 All numeric output uses 17 significant digits, so repeated identical
 invocations produce byte-identical reports.  Exit status: 0 on success,
 1 on validation/data failure, 2 on usage errors.
+
+Each subcommand imports the modules it runs when it runs, so ``--help``
+and usage errors start without NumPy: importing this module loads only
+``vawar.errors`` besides itself.  ``validate`` loads ``tape`` and
+``reportio``; ``stats`` adds ``moments`` to those, ``acorr``/``xcorr``
+``moments`` and ``correlations``, ``density`` ``moments`` and ``charfn``,
+and ``simulate``/``contrast`` ``moments`` and ``synth``.
 """
 
 from __future__ import annotations
@@ -13,26 +20,7 @@ import io
 import sys
 from contextlib import contextmanager
 
-from . import charfn
-from .correlations import CORR_R, CORR_RP, CORR_RU, pair_sweep
 from .errors import VawarError
-from .moments import (
-    DEFAULT_ORDER_CAP,
-    MomentReport,
-    moment_reports,
-    moment_table,
-)
-from .reportio import SCHEMA_VERSION, Records, columns, dumps_json, write_csv_rows
-from .synth import GenConfig, generate, weighting_contrast
-from .tape import (
-    DERIVE_VALUE,
-    WITH_VALUE,
-    LagSpec,
-    WindowSpec,
-    infer_epsilon,
-    ingest,
-    write_csv,
-)
 
 JSON = "json"
 CSV = "csv"
@@ -91,6 +79,8 @@ def _write_text(path, text):
 
 def _value_format(args, lines):
     # --values, with auto decided by a "value" column in the header
+    from .tape import DERIVE_VALUE, WITH_VALUE
+
     if args.values == "auto":
         header = lines[0] if lines else ""
         return WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
@@ -100,11 +90,15 @@ def _value_format(args, lines):
 def _tape_lines(args):
     # the tape's CSV lines, split once, and its spacing: --epsilon, else
     # inferred from the first rows
+    from .tape import infer_epsilon
+
     lines = _read_text(args.input).splitlines()
     return lines, args.epsilon if args.epsilon is not None else infer_epsilon(lines)
 
 
 def _load_tape(args):
+    from .tape import ingest
+
     lines, epsilon = _tape_lines(args)
     return ingest(lines, value_format=_value_format(args, lines), epsilon=epsilon)
 
@@ -140,12 +134,16 @@ def _add_output_args(sub, formats=(JSON, CSV)):
 
 def _document(subcommand, items):
     # JSON text of a report: its schema_version/subcommand envelope, then items
+    from .reportio import SCHEMA_VERSION, dumps_json
+
     return dumps_json({"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
                        **dict(items)})
 
 
 def _csv(fields, rows):
     # CSV text of rows laid out by fields: their columns, then the rows
+    from .reportio import columns, write_csv_rows
+
     sink = io.StringIO()
     write_csv_rows(sink, columns(fields), rows)
     return sink.getvalue()
@@ -155,6 +153,8 @@ def _emit(args, subcommand, key, fields, rows, head=()):
     """Write a report of rows laid out by ``fields`` in ``--format``.  CSV:
     the columns, then the rows.  JSON: the envelope and the (key, value)
     pairs ``head``, then the rows as a list of objects under ``key``."""
+    from .reportio import Records
+
     if args.format == CSV:
         text = _csv(fields, rows)
     else:
@@ -163,6 +163,8 @@ def _emit(args, subcommand, key, fields, rows, head=()):
 
 
 def _cmd_validate(args):
+    from .tape import ingest
+
     lines, epsilon = _tape_lines(args)
     ticks, error = 0, None
     try:
@@ -175,8 +177,12 @@ def _cmd_validate(args):
 
 
 def _cmd_stats(args):
+    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_table
+    from .tape import WindowSpec
+
+    order_cap = DEFAULT_ORDER_CAP if args.order_cap is None else args.order_cap
     table = moment_table(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
-                         args.order, args.stride, args.order_cap)
+                         args.order, args.stride, order_cap)
     _emit(args, "stats", "reports", MomentReport.json_fields(args.order), table)
     return 0
 
@@ -193,6 +199,9 @@ def _shift_rows(args, stats, rows, degrees=(1, 1)):
     ``rows(*results)`` lists (n, m, statistic, value_form, price_form,
     definitional) per statistic of one shift; each sweep row is a tuple of
     the ``SWEEP_COLUMNS`` cells."""
+    from .correlations import pair_sweep
+    from .tape import WindowSpec
+
     tape = _load_tape(args)
     lag2 = args.lag2 if args.lag2 is not None else args.lag
     sweep = pair_sweep(tape, WindowSpec(args.start, args.window), args.lag, lag2,
@@ -202,6 +211,8 @@ def _shift_rows(args, stats, rows, degrees=(1, 1)):
 
 
 def _cmd_acorr(args):
+    from .correlations import CORR_R
+
     def rows(ac):
         return [(1, 1, "corr_r", ac.value_form, ac.price_form, ac.definitional)]
 
@@ -210,6 +221,8 @@ def _cmd_acorr(args):
 
 
 def _cmd_xcorr(args):
+    from .correlations import CORR_RP, CORR_RU
+
     def rows(ru, rp):
         return [(1, 1, "corr_rU", ru.closed_form, ru.closed_form_prices, ru.definitional),
                 (rp.degree_n, rp.degree_m, "corr_rp", rp.closed_form, None, rp.definitional)]
@@ -220,15 +233,20 @@ def _cmd_xcorr(args):
 
 
 def _cmd_density(args):
+    from . import charfn
+    from .moments import moment_reports
+    from .tape import WindowSpec
+
     [report] = moment_reports(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
                               args.order)
     approx = charfn.fit_charfn(report.return_moments, b=args.damping_b, q=args.damping_q)
+    points = charfn.R_POINTS if args.grid_points is None else args.grid_points
     if args.grid_min is None and args.grid_max is None:
-        grid = charfn.GridSpec.for_approx(approx, points=args.grid_points)
+        grid = charfn.GridSpec.for_approx(approx, points=points)
     elif args.grid_min is None or args.grid_max is None:
         raise VawarError("--grid-min and --grid-max must be given together")
     else:
-        grid = charfn.GridSpec(args.grid_min, args.grid_max, args.grid_points)
+        grid = charfn.GridSpec(args.grid_min, args.grid_max, points)
     dens = charfn.invert_density(approx, grid)
 
     sink = io.StringIO()
@@ -244,6 +262,9 @@ def _cmd_density(args):
 
 
 def _cmd_simulate(args):
+    from .synth import GenConfig, generate
+    from .tape import write_csv
+
     config = GenConfig.from_json(_read_text(args.config))
     tape = generate(config)
     # written a block of rows at a time, never held whole
@@ -253,6 +274,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_contrast(args):
+    from .synth import weighting_contrast
+    from .tape import LagSpec, WindowSpec
+
     result = weighting_contrast(
         _load_tape(args), WindowSpec(args.start, args.window), LagSpec(lag_l=args.lag)
     )
@@ -284,7 +308,7 @@ def build_parser():
                    help="sweep window start by this stride (0: single window)")
     p.add_argument("--order", type=_POSITIVE, default=2, metavar="M",
                    help="highest moment order (default 2)")
-    p.add_argument("--order-cap", type=_POSITIVE, default=DEFAULT_ORDER_CAP,
+    p.add_argument("--order-cap", type=_POSITIVE, default=None,
                    help="warn when an order exceeds this cap (default 8)")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_stats)
@@ -321,7 +345,7 @@ def build_parser():
     p.add_argument("--damping-q", type=int, default=None)
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-points", type=_int_at_least(9), default=charfn.R_POINTS)
+    p.add_argument("--grid-points", type=_int_at_least(9), default=None)
     p.add_argument("--sidecar", default=None,
                    help="sidecar JSON path (default: <out>.json when --out)")
     _add_output_args(p, formats=())
