@@ -11,6 +11,12 @@ and usage errors start without NumPy: importing this module loads only
 ``reportio``; ``stats`` adds ``moments`` to those, ``acorr``/``xcorr``
 ``moments`` and ``correlations``, ``density`` ``moments`` and ``charfn``,
 and ``simulate``/``contrast`` ``moments`` and ``synth``.
+
+A subcommand that reads a tape hands ``tape.ingest`` the lines of the open
+input file (or standard input), which ingest reads a block at a time as it
+parses them; only the header and the first two data rows are read ahead,
+for ``--values auto`` and the inferred spacing.  The lines break exactly
+where ``str.splitlines`` breaks the whole text.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import io
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from .errors import VawarError
 
@@ -55,10 +62,18 @@ _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
 
 
-def _read_text(path):
+@contextmanager
+def _input(path):
+    # the text stream of an input path: standard input for "-", else the file
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+
+
+def _read_text(path):
+    with _input(path) as fh:
         return fh.read()
 
 
@@ -77,30 +92,41 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _value_format(args, lines):
-    # --values, with auto decided by a "value" column in the header
+def _value_format(args, header):
+    # --values, with auto decided by a "value" column in the header line
     from .tape import DERIVE_VALUE, WITH_VALUE
 
     if args.values == "auto":
-        header = lines[0] if lines else ""
         return WITH_VALUE if "value" in header.lower() else DERIVE_VALUE
     return WITH_VALUE if args.values == "supplied" else DERIVE_VALUE
 
 
+@contextmanager
 def _tape_lines(args):
-    # the tape's CSV lines, split once, and its spacing: --epsilon, else
-    # inferred from the first rows
+    """The lines of the input tape as ``ingest`` takes them, its value
+    format and its spacing: --epsilon, else inferred from the first rows.
+    The file is read as the lines are taken, and only the lines up to the
+    second data row are read ahead; it is closed when the block ends."""
     from .tape import infer_epsilon
 
-    lines = _read_text(args.input).splitlines()
-    return lines, args.epsilon if args.epsilon is not None else infer_epsilon(lines)
+    with _input(args.input) as fh:
+        # the line boundaries of fh.read().splitlines(), a line at a time
+        lines = chain.from_iterable(map(str.splitlines, fh))
+        head, rows = [], 0
+        for line in lines:  # the header and the first two data rows
+            head.append(line)
+            rows += bool(line.strip())
+            if rows == 3:
+                break
+        epsilon = args.epsilon if args.epsilon is not None else infer_epsilon(head)
+        yield chain(head, lines), _value_format(args, head[0] if head else ""), epsilon
 
 
 def _load_tape(args):
     from .tape import ingest
 
-    lines, epsilon = _tape_lines(args)
-    return ingest(lines, value_format=_value_format(args, lines), epsilon=epsilon)
+    with _tape_lines(args) as (lines, value_format, epsilon):
+        return ingest(lines, value_format=value_format, epsilon=epsilon)
 
 
 def _add_input_args(sub):
@@ -165,12 +191,12 @@ def _emit(args, subcommand, key, fields, rows, head=()):
 def _cmd_validate(args):
     from .tape import ingest
 
-    lines, epsilon = _tape_lines(args)
     ticks, error = 0, None
-    try:
-        ticks = len(ingest(lines, value_format=_value_format(args, lines), epsilon=epsilon))
-    except VawarError as exc:
-        error = {"kind": type(exc).__name__, "message": str(exc)}
+    with _tape_lines(args) as (lines, value_format, epsilon):
+        try:
+            ticks = len(ingest(lines, value_format=value_format, epsilon=epsilon))
+        except VawarError as exc:
+            error = {"kind": type(exc).__name__, "message": str(exc)}
     cells = (error is None, ticks, epsilon, error)
     _write_text(args.out, _document("validate", zip(VALIDATE_FIELDS, cells)))
     return 0 if error is None else 1

@@ -125,11 +125,21 @@ def _power(s, n):
         return math.copysign(math.inf, s) if n % 2 else math.inf
 
 
+def _restored(scales, n):
+    # scale**n of each window, with Python float ** int: numpy's array power
+    # rounds differently, and output must not depend on how windows are
+    # batched
+    return np.array([_power(s, n) for s in scales])
+
+
 def _scaled(scales, xs, n):
-    # scale**n * x of each window: the scales go back in with Python
-    # float ** int, as numpy's array power rounds differently and output
-    # must not depend on how windows are batched
-    return np.array([_power(s, n) for s in scales]) * xs
+    # scale**n * x of each window
+    return _restored(scales, n) * xs
+
+
+def _pow(x, n):
+    # x**n, and x itself at n = 1, where numpy's power would copy x
+    return x if n == 1 else x**n
 
 
 def _unit_series(series):
@@ -163,6 +173,7 @@ class _Series:
     def __init__(self, p, u, c, pl):
         self.p, self.u, self.c, self.pl = p, u, c, pl
         self._powers = {}
+        self._vwap_powers = {}
 
     @classmethod
     def of(cls, window: ResolvedWindow, lag_l=None):
@@ -189,17 +200,36 @@ class _Series:
         v = _weighted(self.p, self.u)
         return v.tolist(), v[..., None]
 
+    # The ratios of each window's series, computed once for every order
+    @cached_property
+    def unit_price(self):
+        return self.p / self.vwap[1]
+
+    @cached_property
+    def unit_adjprice(self):
+        return self.pl / self.vwap[1]
+
+    @cached_property
+    def returns(self):
+        return self.p / self.pl
+
     def volume_powers(self, n):
         # (U/Ubar)^n of each window and its sums, kept per order
         if n not in self._powers:
-            un = self.volume[1] ** n
+            un = _pow(self.volume[1], n)
             self._powers[n] = un, np.sum(un, axis=-1)
         return self._powers[n]
+
+    def vwap_power(self, n):
+        # VWAP^n of each window, kept per order
+        if n not in self._vwap_powers:
+            self._vwap_powers[n] = _restored(self.vwap[0], n)
+        return self._vwap_powers[n]
 
     @_quiet
     def value_moment(self, n):
         s, a = self.value
-        return _scaled(s, np.mean(a**n, axis=-1), n)
+        return _scaled(s, np.mean(_pow(a, n), axis=-1), n)
 
     @_quiet
     def volume_moment(self, n):
@@ -208,21 +238,22 @@ class _Series:
 
     @_quiet
     def price_moment(self, n):
-        (v, va), (un, su) = self.vwap, self.volume_powers(n)
-        return _scaled(v, np.sum((self.p / va) ** n * un, axis=-1) / su, n)
+        un, su = self.volume_powers(n)
+        return self.vwap_power(n) * (np.sum(_pow(self.unit_price, n) * un, axis=-1) / su)
 
     @_quiet
     def adjusted_moments(self, n):
         # (C_a, p_a) of each window, as the rows of one array
-        (v, va), (un, su) = self.vwap, self.volume_powers(n)
-        s = np.sum((self.pl / va) ** n * un, axis=-1)
-        return np.array((_scaled([a * b for a, b in zip(v, self.volume[0])], s / un.shape[-1], n),
-                         _scaled(v, s / su, n)))
+        un, su = self.volume_powers(n)
+        s = np.sum(_pow(self.unit_adjprice, n) * un, axis=-1)
+        return np.array((_scaled([a * b for a, b in zip(self.vwap[0], self.volume[0])],
+                                 s / un.shape[-1], n),
+                         self.vwap_power(n) * (s / su)))
 
     @_quiet
     def return_moment(self, n):
         # r(t,tau;n) of each window, weighted by C_a^n; it needs no scale
-        return _weighted((self.p / self.pl) ** n, self.adjvalue[1] ** n)
+        return _weighted(_pow(self.returns, n), _pow(self.adjvalue[1], n))
 
     def moments(self, top):
         """The order 1..top moments of each window, as a ``(windows, 6,

@@ -26,17 +26,20 @@ argument.  Each spec and entry point applies it once.
 CSV format
 ----------
 Header ``time,price,volume`` or ``time,price,volume,value``, decimal point
-``.``, one tick per row, UTF-8.  Ingestion is strict and names the row of
-the fault (the header is row 1).  Faults are reported in this order: the
-first row that does not parse (wrong column count, a cell that is not a
-finite number), then the first tick that breaks a tick rule, then the
-first bad spacing.
+``.``, one tick per row, UTF-8.  Lines end where ``str.splitlines`` ends
+them (``\\n``, ``\\r\\n``, ``\\r`` and the other Unicode line boundaries),
+and a line of only whitespace is skipped but keeps its row number.
+Ingestion is strict and names the row of the fault (the header is row 1).
+Faults are reported in this order: the first row that does not parse
+(wrong column count, a cell that is not a finite number), then the first
+tick that breaks a tick rule, then the first bad spacing.
 
-:func:`ingest` parses a whole tape in one bulk pass: one split into
-lines, one comma count for the column counts, ``float`` mapped over
-blocks of cells into one array, one finite check.  No row loop builds
-data; the rows are walked only after a check has failed, to locate the
-first row at fault.
+:func:`ingest` takes the lines of a tape ``_BLOCK`` at a time from any
+iterable of lines, such as an open file, so only the tape's arrays grow
+with its length.  Each block is stripped, counted for commas, parsed by
+``float`` into one array and checked for finite numbers.  No row loop
+builds data; a block's rows are walked only after one of its checks has
+failed, to locate the first row at fault.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ WITH_VALUE = "with_value"
 DERIVE_VALUE = "derive_value"
 
 
-#: Data lines parsed per ``float`` pass.  Larger blocks parse no faster, and
+#: Lines read and parsed per block.  Larger blocks parse no faster, and
 #: their cells leave more small-object memory held after the parse, which
 #: raises the peak RSS of the work that follows.
 _BLOCK = 256
@@ -295,22 +298,35 @@ def _reject_cells(cells, row):
             raise NonFinite(f"row {row}: {name} {text!r} is not finite")
 
 
-def _locate_fault(lines, width, used):
-    """Raise the parse fault of the first row at fault among ``lines``, the
-    stripped lines after the header: a column count other than ``width``,
-    or one of its first ``used`` cells that is not a finite number."""
-    for row, line in enumerate(lines, 2):
+def _locate_fault(lines, width, used, first_row):
+    """Raise the parse fault of the first row at fault among ``lines``,
+    stripped lines of which the first is CSV row ``first_row``: a column
+    count other than ``width``, or one of its first ``used`` cells that is
+    not a finite number."""
+    for row, line in enumerate(lines, first_row):
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != width:
             raise MalformedRow(f"row {row}: expected {width} columns, got {len(cells)}")
         _reject_cells(cells[:used], row)
-    raise AssertionError("the bulk parse failed on a tape whose rows all parse")
+    raise AssertionError("the block parse failed on a block whose rows all parse")
+
+
+def _row_of(tick, blanks):
+    # The CSV row of data tick ``tick``, given the ascending rows of the
+    # blank lines after the header
+    row = tick + 2
+    for blank in blanks:
+        if blank > row:
+            break
+        row += 1
+    return row
 
 
 def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
-    """Read a trade tape from CSV text, or an iterable of its lines.
+    """Read a trade tape from CSV text, or from an iterable of its lines
+    such as an open file.
 
     ``value_format`` selects between deriving values as price * volume
     (``derive_value``) and reading a fourth ``value`` column that is
@@ -321,21 +337,23 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     is the first row that does not parse, else the first tick that breaks
     a tick rule, else the first bad spacing.
 
-    The text is split into lines once, and a line that strips to nothing
-    is skipped.  One count of commas checks every row's column count.
-    ``float`` then parses the cells in blocks of ``_BLOCK`` lines, joined
-    and split as one string, into one array that is checked once for
-    non-finite numbers; a derived value's cell is never parsed.  Only when
-    one of these checks fails does :func:`_locate_fault` walk the rows to
-    name the first at fault.
+    Text is split by ``str.splitlines``.  The lines after the header are
+    taken ``_BLOCK`` at a time, and nothing but the parsed numbers and the
+    rows of blank lines outlives its block.  In a block, a line that
+    strips to nothing is skipped, one count of commas checks every row's
+    column count, and ``float`` parses the cells, joined and split as one
+    string, into one array that is checked once for non-finite numbers; a
+    derived value's cell is never parsed.  Only when one of these checks
+    fails does :func:`_locate_fault` walk the block's rows to name the
+    first at fault.
     """
     if value_format not in (WITH_VALUE, DERIVE_VALUE):
         raise ValueError(f"unknown value_format {value_format!r}")
-    lines = list(map(str.strip, source.splitlines() if isinstance(source, str) else source))
-    if not lines:
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    header = next(lines, None)
+    if header is None:
         raise EmptyTape("empty input: missing header")
-    header = lines.pop(0)
-    columns = [c.strip().lower() for c in header.lstrip("\ufeff").split(",")]
+    columns = [c.strip().lower() for c in header.strip().lstrip("\ufeff").split(",")]
     if columns[:3] != ["time", "price", "volume"] or len(columns) > 4:
         raise MalformedRow("row 1: expected header time,price,volume[,value]")
     has_value = len(columns) == 4 and columns[3] == "value"
@@ -346,24 +364,32 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
 
     width = len(columns)
     used = 4 if value_format == WITH_VALUE else 3  # a derived value's cell is not read
-    body = list(filter(None, lines))  # the data rows
-    if not body:
+    blocks, blanks = [], []  # each block's numbers; the rows of blank lines
+    for first_row in count(2, _BLOCK):
+        block = list(map(str.strip, islice(lines, _BLOCK)))
+        if not block:
+            break
+        body = list(filter(None, block))  # the block's data rows
+        if len(body) < len(block):
+            blanks.extend(compress(count(first_row), map(operator.not_, block)))
+            if not body:
+                continue
+        if set(map(str.count, body, repeat(","))) != {width - 1}:
+            _locate_fault(block, width, used, first_row)
+        cells = ",".join(body).split(",")
+        if used < width:
+            del cells[used::width]
+        try:
+            numbers = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            _locate_fault(block, width, used, first_row)
+        if not np.isfinite(numbers).all():
+            _locate_fault(block, width, used, first_row)
+        blocks.append(numbers)
+    if not blocks:
         raise EmptyTape("no data rows")
-    if set(map(str.count, body, repeat(","))) != {width - 1}:
-        _locate_fault(lines, width, used)
-    data = np.empty((len(body), used))
-    flat = data.reshape(-1)
-    try:
-        for i in range(0, len(body), _BLOCK):
-            cells = ",".join(body[i:i + _BLOCK]).split(",")
-            if used < width:
-                del cells[used::width]
-            flat[i * used:(i + _BLOCK) * used] = np.fromiter(map(float, cells), np.float64,
-                                                             len(cells))
-    except ValueError:
-        _locate_fault(lines, width, used)
-    if not np.isfinite(flat).all():
-        _locate_fault(lines, width, used)
+    data = np.concatenate(blocks).reshape(-1, used)
+    del blocks  # freed before the tape copies its columns
 
     with np.errstate(over="ignore"):  # TradeTape names an infinite value
         values = data[:, 3] if used == 4 else data[:, 1] * data[:, 2]
@@ -372,8 +398,8 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     except TapeError as exc:
         if exc.tick is None:
             raise
-        row = next(islice(compress(count(2), lines), exc.tick, None))  # skip blank lines
-        raise _fault(type(exc), exc.tick, exc.detail, where=f"row {row}") from None
+        raise _fault(type(exc), exc.tick, exc.detail,
+                     where=f"row {_row_of(exc.tick, blanks)}") from None
 
 
 def write_csv(tape: TradeTape, stream, include_value=True):

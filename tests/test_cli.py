@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import warnings
 
 import jsonschema
@@ -10,12 +11,14 @@ from vawar import schemas
 from vawar.charfn import fit_charfn, invert_density, write_density_csv
 from vawar.cli import build_parser, main
 from vawar.correlations import ADJPRICE_ADJPRICE, pair_windows, paired_expectation
-from vawar.errors import OrderExceedsWindow
+from vawar.errors import (MalformedRow, NonFinite, NonPositiveField, NonUniformSpacing,
+                          OrderExceedsWindow, VawarError)
 from vawar.moments import (MomentReport, adjusted_moments, moment_report, moment_reports,
                            return_moment)
 from vawar.reportio import SCHEMA_VERSION, dumps_json
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
-from vawar.tape import LagSpec, TradeTape, WindowSpec, ingest, resolve, write_csv
+from vawar.tape import (LagSpec, TradeTape, WindowSpec, infer_epsilon, ingest, resolve,
+                        write_csv)
 
 from conftest import FIXTURE_CSV
 from helpers import OLD_SCHEMAS, SMALL_PRICES, old_dumps_json, old_write_csv_rows
@@ -810,6 +813,24 @@ class TestNotUtf8:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
         self.fails_cleanly(capsys, ["validate", "-"], tmp_path / "out")
 
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("validate", []),
+        ("stats", ["--window", "2", "--start", "1", "--lag", "1"]),
+    ])
+    def test_byte_far_into_the_file(self, capsys, tmp_path, subcommand, extra):
+        # decoded in the middle of the parse, blocks after the first
+        rows = "".join(f"{i},1,1\n" for i in range(1, 12000)).encode("ascii")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time,price,volume\n0,1,1\n" + rows + b"12000,1,\xff\n")
+        assert path.stat().st_size > 65536
+        out = tmp_path / "out"
+        out.write_text("kept\n", encoding="utf-8")
+        status, stdout, err = run(capsys, subcommand, str(path), *extra, "--out", str(out))
+        assert (status, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"vawar {subcommand}: error: 'utf-8' codec can't decode byte 0xff")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     def test_simulate_config(self, capsys, tmp_path):
         path = tmp_path / "gen.json"
         path.write_bytes(b'{"ticks": 5, "seed": "\xff"}')
@@ -824,3 +845,172 @@ class TestStdin:
         status, out, _ = run(capsys, "validate", "-")
         assert status == 0
         assert json.loads(out)["ticks"] == 4
+
+
+def _streamed_text(eol="\n", bom=False, final_eol=True, blanks=(), cells=()):
+    """CSV text of a 700-tick tape (three ingest blocks), with ``eol`` line
+    ends, blank lines inserted before the data rows at the indices
+    ``blanks`` and the cells ``(data row, column, text)`` replaced."""
+    tape = TradeTape.from_arrays(1.0 + np.arange(700) % 13, 2.0 + np.arange(700) % 5,
+                                 epsilon=0.5, start_time=3.0)
+    sink = io.StringIO()
+    write_csv(tape, sink)
+    lines = [line.split(",") for line in sink.getvalue().splitlines()]
+    for row, column, text in cells:
+        lines[row + 1][column] = text
+    lines = [",".join(cells) for cells in lines]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at + 1, " ")
+    return ("\ufeff" if bom else "") + eol.join(lines) + (eol if final_eol else "")
+
+
+# CSV row 257 is the last line of the first 256-line block after the header,
+# row 258 the first of the second block.
+STREAMED = {
+    "lf": _streamed_text(),
+    "crlf": _streamed_text("\r\n"),
+    "cr": _streamed_text("\r"),
+    "form_feed": _streamed_text("\x0c"),
+    "line_separator": _streamed_text("\u2028"),
+    "bom_crlf": _streamed_text("\r\n", bom=True),
+    "no_final_eol": _streamed_text(final_eol=False),
+    "no_final_crlf": _streamed_text("\r\n", final_eol=False),
+    "blanks_at_block_edge": _streamed_text("\r\n", blanks=(0, 254, 255, 256, 257, 500)),
+    "parse_fault_later_block": _streamed_text(blanks=(3, 255, 256), cells=((600, 2, "x"),)),
+    "columns_fault_later_block": _streamed_text(blanks=(255,), cells=((300, 3, "1,2"),)),
+    "tick_fault_later_block": _streamed_text("\r\n", blanks=(1, 256, 300),
+                                             cells=((400, 2, "0"),)),
+    "spacing_fault_later_block": _streamed_text(blanks=(256,), cells=((650, 0, "1e9"),)),
+}
+
+
+FIELDS = ("times", "prices", "volumes", "values")
+
+
+def _tape_outcome(read):
+    # the tape's arrays as bytes and its spacing, or what the read raised
+    try:
+        tape = read()
+    except VawarError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(tape, f).tobytes() for f in FIELDS) + (tape.epsilon,)
+
+
+def _cli_tape(argv):
+    # the tape the CLI reads for the input arguments argv
+    from vawar.cli import _load_tape
+
+    return _load_tape(build_parser().parse_args(["validate", *argv]))
+
+
+class TestStreamedIngest:
+    """The CLI reads its tape from the open file as lines, a block at a
+    time; that reads as ``ingest`` reads the whole text."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    def test_file_and_stdin_read_as_text(self, tmp_path, monkeypatch, name):
+        text = STREAMED[name]
+        expected = _tape_outcome(lambda: ingest(text, "with_value", infer_epsilon(text)))
+        assert _tape_outcome(lambda: ingest(text.splitlines(), "with_value",
+                                            infer_epsilon(text))) == expected
+        path = tmp_path / "tape.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _tape_outcome(lambda: _cli_tape([str(path)])) == expected
+        # standard input translates no line ends, as sys.stdin does on POSIX
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                                          encoding="utf-8", newline="\n"))
+        assert _tape_outcome(lambda: _cli_tape(["-"])) == expected
+
+    def test_faults_name_their_rows(self):
+        # header, one blank before data row 3, three more before data row 600
+        assert _tape_outcome(lambda: ingest(STREAMED["parse_fault_later_block"])) == (
+            NonFinite, "row 605: volume 'x' is not a number")
+        assert _tape_outcome(lambda: ingest(STREAMED["columns_fault_later_block"])) == (
+            MalformedRow, "row 303: expected 4 columns, got 5")
+        assert _tape_outcome(lambda: ingest(STREAMED["tick_fault_later_block"], epsilon=0.5)) == (
+            NonPositiveField, "row 405: volume must be > 0, got 0.0")
+        assert _tape_outcome(lambda: ingest(STREAMED["spacing_fault_later_block"],
+                                            epsilon=0.5)) == (
+            NonUniformSpacing, "row 653: spacing 999999672.5 != epsilon 0.5")
+
+    @pytest.mark.parametrize("name", ["crlf", "blanks_at_block_edge", "tick_fault_later_block"])
+    def test_validate_report_of_file_and_stdin(self, capsys, tmp_path, monkeypatch, name):
+        path = tmp_path / "tape.csv"
+        path.write_bytes(STREAMED[name].encode("utf-8"))
+        lf = tmp_path / "lf.csv"
+        lf.write_text(STREAMED[name].replace("\r\n", "\n"), encoding="utf-8", newline="")
+        reports = [run(capsys, "validate", str(p)) for p in (path, lf)]
+        monkeypatch.setattr("sys.stdin", open(path, encoding="utf-8", newline="\n"))
+        reports.append(run(capsys, "validate", "-"))
+        sys.stdin.close()
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_lines_break_where_splitlines_breaks(self, tmp_path, monkeypatch):
+        from vawar.cli import _tape_lines
+
+        rng = np.random.default_rng(18)
+        pieces = ["a", "1,2", " ", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                  "\x85", "\u2028", "\u2029", "\r\r\n", "\n\r"]
+        path = tmp_path / "lines.txt"
+        for _ in range(300):
+            text = "".join(rng.choice(pieces, rng.integers(0, 40)))
+            path.write_bytes(text.encode("utf-8"))
+            args = build_parser().parse_args(["validate", str(path), "--epsilon", "1"])
+            with _tape_lines(args) as (lines, _, _):
+                assert list(lines) == text.splitlines(), repr(text)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                                              encoding="utf-8", newline="\n"))
+            args = build_parser().parse_args(["validate", "-", "--epsilon", "1"])
+            with _tape_lines(args) as (lines, _, _):
+                assert list(lines) == text.splitlines(), repr(text)
+
+    def test_reads_ahead_only_to_the_second_data_row(self, monkeypatch):
+        from vawar.cli import _tape_lines
+
+        read = []
+
+        def stdin():
+            for line in ("time,price,volume\n", "\n", "0,1,1\n", " \n", "0.25,1,1\n", "x\n"):
+                read.append(line)
+                yield line
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        args = build_parser().parse_args(["validate", "-"])
+        with _tape_lines(args) as (lines, value_format, epsilon):
+            assert (len(read), value_format, epsilon) == (5, "derive_value", 0.25)
+            assert list(lines) == [line[:-1] for line in read]
+
+    @pytest.mark.parametrize("fault", ["tape", "decode", "crash"])
+    def test_file_closed_when_ingest_raises(self, capsys, tmp_path, monkeypatch, fault):
+        import vawar.cli
+        import vawar.tape
+
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        path = tmp_path / "tape.csv"
+        if fault == "decode":
+            path.write_bytes(STREAMED["lf"].encode("utf-8") + b"9,\xff,1,1\n")
+        else:
+            path.write_text(STREAMED["tick_fault_later_block"], encoding="utf-8")
+        if fault == "crash":
+            def crash(lines, **kwargs):
+                next(lines)
+                raise RuntimeError("ingest crashed")
+
+            monkeypatch.setattr(vawar.tape, "ingest", crash)
+        monkeypatch.setattr(vawar.cli, "open", spy, raising=False)
+        for subcommand in ("validate", "stats"):
+            argv = [subcommand, str(path)]
+            if subcommand == "stats":
+                argv += ["--window", "2", "--start", "1", "--lag", "1"]
+            if fault == "crash":
+                with pytest.raises(RuntimeError, match="ingest crashed"):
+                    main(argv)
+            else:
+                assert main(argv) == 1
+            capsys.readouterr()
+        assert len(opened) == 2 and all(fh.closed for fh in opened)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,30 @@ class TestIngest:
             tape, old = ingest(text, value_format), old_ingest(text, value_format)
             for field in FIELDS:
                 assert getattr(tape, field).tobytes() == getattr(old, field).tobytes()
+
+
+def test_open_file_peak_is_a_few_times_the_tape(tmp_path):
+    # Read from an open file a block of lines at a time, a 50k-tick tape
+    # peaks at the parsed numbers, their concatenation and the tape's own
+    # copies, never at its text or a list of its lines (about 7 times the
+    # tape's arrays when they were held).
+    rng = np.random.default_rng(11)
+    n = 50_000
+    original = TradeTape.from_arrays(np.exp(np.cumsum(rng.normal(0, 1e-3, n))) * 37.5,
+                                     rng.uniform(1, 1e4, n), epsilon=0.5)
+    path = tmp_path / "tape.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(original, fh)
+    arrays = sum(getattr(original, field).nbytes for field in FIELDS)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tape = ingest(fh, WITH_VALUE, epsilon=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == n
+    assert peak < 4 * arrays, (peak, arrays)
 
 
 # Cells that do not parse, parse to a non-finite number, or parse to what
