@@ -38,12 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _power, _quiet, _Series, _sigmas, check_order
+from .moments import DEFAULT_ORDER_CAP, _pow, _power, _quiet, _Series, _sigmas, check_order
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, integral, resolve
 
 VALUE_VALUE = "value_value"
@@ -77,10 +76,10 @@ def _cross(kind, x1: _Series, x2: _Series, n, m):
     leg1, leg2 = kind.split("_")
     ([s1], a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
     if kind in MARKET_KINDS:
-        un = x1.volume[1] ** n * x2.volume[1] ** m
-        e = np.sum(a**n * b**m * un, axis=-1) / np.sum(un, axis=-1)
+        un, su = x2.paired_weights(x1, n, m)  # shared by the block's market kinds
+        e = np.sum(_pow(a, n) * _pow(b, m) * un, axis=-1) / su
     else:
-        e = np.mean(a**n * b**m, axis=-1)
+        e = np.mean(_pow(a, n) * _pow(b, m), axis=-1)
     return _power(s1, n) * np.array([_power(s, m) for s in s2]) * e
 
 
@@ -359,7 +358,8 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
     first infeasible j.  Window1's series are cached once; window2's are
     computed as the iterator is consumed, in blocks of about
     ``moments.BLOCK_ELEMENTS`` ticks per field, so only one block's
-    results are held at a time.
+    results, and the series of that block and of the next, are held at a
+    time.
     """
     unknown = set(stats) - {CORR_R, CORR_RU, CORR_RP}
     if unknown:
@@ -379,10 +379,17 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
     estimate = {CORR_R: _autocorr, CORR_RU: _volume_corr,
                 CORR_RP: lambda x: _price_corr(x, n, m)}
     starts = window.start - np.arange(max_shift + 1)
-    # map, not a generator expression, whose loop variable would keep the
-    # previous block alive while the next is cut
-    pairs = map(_Pairs, repeat(_Series.of(w1)), _Series.blocks(tape, starts, window.count, lag2))
-    return chain.from_iterable(map(lambda x: zip(*(estimate[s](x) for s in stats)), pairs))
+    blocks = _Series.blocks(tape, starts, window.count, lag2)
+    return _sweep(_Series.of(w1), blocks, [estimate[s] for s in stats])
+
+
+def _sweep(x1, blocks, estimators):
+    # pair_sweep's results, a block of shifts at a time.  x2 holds a block
+    # while the next is cut, as in moments.moment_table: a block freed
+    # before the next is cut is returned to the system and faulted back in.
+    for x2 in blocks:
+        pairs = _Pairs(x1, x2)
+        yield from zip(*(estimate(pairs) for estimate in estimators))
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,7 @@ class _Series:
         self.p, self.u, self.c, self.pl = p, u, c, pl
         self._powers = {}
         self._vwap_powers = {}
+        self._paired = {}
 
     @classmethod
     def of(cls, window: ResolvedWindow, lag_l=None):
@@ -219,6 +220,16 @@ class _Series:
             un = _pow(self.volume[1], n)
             self._powers[n] = un, np.sum(un, axis=-1)
         return self._powers[n]
+
+    def paired_weights(self, other, n, m):
+        """The weights (U1/U1bar)^n (U/Ubar)^m of the market cross
+        expectations of the one window of ``other`` paired with each window
+        of this block, and their sums, kept per (other, n, m)."""
+        key = other, n, m
+        if key not in self._paired:
+            w = _pow(other.volume[1], n) * _pow(self.volume[1], m)
+            self._paired[key] = w, np.sum(w, axis=-1)
+        return self._paired[key]
 
     def vwap_power(self, n):
         # VWAP^n of each window, kept per order
@@ -448,10 +459,22 @@ def _table(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
     top = max(order_max, 2)  # the dispersions need order 2
     # one step past the end when stride is 0: the first window only
     starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
-    m = np.concatenate([x.moments(top) for x in _Series.blocks(tape, starts, count, lag_l)])
-    head = np.tile((0.0, count, lag_l, order_max), (len(m), 1))
-    head[:, 0] = starts
-    return np.hstack((head, m[..., :order_max].reshape(len(m), -1), _sigmas(m)))
+    sigmas = 4 + len(_FAMILIES) * order_max  # the column of the first sigma
+    table = np.empty((len(starts), sigmas + len(_SIGMAS)))
+    table[:, :4] = (0.0, count, lag_l, order_max)
+    table[:, 0] = starts
+    lo = 0
+    # Each block fills its rows.  x holds a block while the next is cut, so
+    # the allocator reuses the memory of one block for the block after
+    # next: freed before the next is cut, it is returned to the system and
+    # faulted back in for every block.
+    for x in _Series.blocks(tape, starts, count, lag_l):
+        m = x.moments(top)
+        rows = table[lo:lo + len(m)]
+        rows[:, 4:sigmas] = m[..., :order_max].reshape(len(m), -1)
+        rows[:, sigmas:] = _sigmas(m)
+        lo += len(m)
+    return table
 
 
 def moment_table(tape, window: WindowSpec, lag_l, order_max=2, stride=0,

@@ -15,14 +15,16 @@ written by one ``%`` over the flat tuple of its numbers.  So the formatter
 recurses over containers and shapes, never over the numbers, and holds at
 most ``_CHUNK`` rows at a time.
 
-Rows may also come as a 2-D float64 array, one row per report row, which
-is read ``_CHUNK`` rows at a time.  A chunk whose cells are all finite is
-written with the one all-float template of its width and one ``%`` over
-its cells; a chunk that holds a NaN or an infinity goes through the row
-loop above, as a list of float rows.  A whole-number column may be stored
-as floats: every whole number |i| <= 2**53 is held exactly by a float64,
-and ``"%.17g" % float(i) == "%d" % i`` for each, so it is written as its
-ints would be.
+Rows may also come as a 2-D float64 array, one row per report row, or as
+an iterable of such arrays (blocks of rows, taken one at a time, so a
+table need never be whole).  Each array is read ``_CHUNK`` rows at a
+time.  A chunk whose cells are all finite is written with the one
+all-float template of its width and one ``%`` over its cells; a chunk
+that holds a NaN or an infinity goes through the row loop above, as a
+list of float rows.  A whole-number column may be stored as floats: every
+whole number |i| <= 2**53 is held exactly by a float64, and
+``"%.17g" % float(i) == "%d" % i`` for each, so it is written as its ints
+would be.
 
 Cell rules, the same in every report:
 
@@ -59,9 +61,9 @@ class Records:
     JSON objects.
 
     ``fields`` are key names, or ``(name, width)`` pairs for a list-valued
-    key whose ``width`` items are consecutive cells of the row.  Each row
-    is a flat sequence of cells, or a row of a 2-D float array (as for
-    :func:`write_csv_rows`).
+    key whose ``width`` items are consecutive cells of the row.  ``rows``
+    are flat sequences of cells, a 2-D float array or an iterable of 2-D
+    float arrays (as for :func:`write_csv_rows`).
     """
 
     def __init__(self, fields, rows):
@@ -179,22 +181,46 @@ def _run_text(template, slots, run):
     return (template * len(run)) % tuple(compress(cells, slots * len(run)) if slots else cells)
 
 
+#: The end of an iterator of rows, which no row is.
+_END = object()
+
+
 def _rows(rows, style, fields=None, indent=0, level=0):
-    """Yield the text of ``rows`` (sequences of cells, or a 2-D float
-    array), one run of rows of one shape, of at most ``_CHUNK`` rows, at a
-    time."""
-    json_out = style != "csv"
+    """Yield the text of ``rows`` (sequences of cells, a 2-D float array,
+    or an iterable of 2-D float arrays), one run of rows of one shape, of
+    at most ``_CHUNK`` rows, at a time."""
     if isinstance(rows, np.ndarray):
-        width = rows.shape[1]
+        yield from _float_rows((rows,), style, fields, indent, level)
+        return
+    rows = iter(rows)
+    first = next(rows, _END)
+    if first is _END:
+        return
+    rows = chain((first,), rows)
+    if isinstance(first, np.ndarray) and first.ndim == 2:
+        yield from _float_rows(rows, style, fields, indent, level)
+    else:
+        yield from _cell_rows(rows, style, fields, indent, level)
+
+
+def _float_rows(blocks, style, fields, indent, level):
+    # _rows of 2-D float arrays, each read _CHUNK rows at a time
+    json_out = style != "csv"
+    for block in blocks:
+        width = block.shape[1]
         shape = (_row_type((float,) * width, json_out), (), (True,) * width)
         template, _ = _template(style, fields, indent, level, shape)
-        for lo in range(0, len(rows), _CHUNK):
-            chunk = rows[lo:lo + _CHUNK]
+        for lo in range(0, len(block), _CHUNK):
+            chunk = block[lo:lo + _CHUNK]
             if np.isfinite(chunk).all():
                 yield (template * len(chunk)) % tuple(chunk.ravel().tolist())
             else:
-                yield from _rows(chunk.tolist(), style, fields, indent, level)
-        return
+                yield from _cell_rows(chunk.tolist(), style, fields, indent, level)
+
+
+def _cell_rows(rows, style, fields, indent, level):
+    # _rows of sequences of cells
+    json_out = style != "csv"
     render = _json_value if json_out else _csv_value
     write = partial(_json, indent=indent, level=level + 1) if json_out else str
     types = shape = None
@@ -253,7 +279,8 @@ def dumps_json(obj, indent=2) -> str:
 
 def write_csv_rows(stream, header, rows):
     """Emit a delimited table with deterministic cell formatting; ``rows``
-    are sequences of cells or a 2-D float array."""
+    are sequences of cells, a 2-D float array, or an iterable of 2-D float
+    arrays (blocks of rows), each block written before the next is taken."""
     stream.write(",".join(header) + "\n")
     for text in _rows(rows, "csv"):
         stream.write(text)

@@ -9,7 +9,7 @@ from array import array
 import numpy as np
 
 from vawar import charfn
-from vawar.errors import EmptyTape, MalformedRow, NonFinite, TapeError
+from vawar.errors import EmptyTape, MalformedRow, NonFinite, NonUniformSpacing, TapeError
 
 from vawar.synth import (
     ConstantVolume,
@@ -20,7 +20,14 @@ from vawar.synth import (
     WhaleVolume,
     generate,
 )
-from vawar.tape import LagSpec, TradeTape, WindowSpec
+from vawar.tape import (
+    SPACING_REL_TOL,
+    VALUE_REL_TOL,
+    LagSpec,
+    TradeTape,
+    TradeTick,
+    WindowSpec,
+)
 
 
 def assert_close(a, b, rel, abs_floor=0.0, msg=""):
@@ -387,6 +394,61 @@ def old_ingest(source, value_format="derive_value", epsilon=1.0):
         fault = type(exc)(f"{where}: {exc.detail}")
         fault.tick, fault.detail = exc.tick, exc.detail
         raise fault from None
+
+
+def old_generate(config):
+    """(prices, volumes) of ``synth.generate`` as its formulas give them with
+    a fresh array per step, from the same draws in the same order."""
+    rng = np.random.default_rng(config.seed)
+    n = config.ticks
+    shocks = np.zeros(n)
+    p, v = config.price, config.volume
+    if isinstance(p, WalkPrice):
+        shocks = rng.standard_normal(n)
+        shocks[0] = 0.0
+        prices = p.start * np.exp(p.log_vol * np.cumsum(shocks))
+    elif isinstance(p, CyclePrice):
+        prices = p.base * np.exp(p.log_amplitude * np.sin(2.0 * math.pi * np.arange(n) / p.period))
+    else:
+        prices = np.full(n, p.level)
+    if isinstance(v, HeavyTailVolume):
+        volumes = v.base * (1.0 - rng.random(n)) ** (-1.0 / v.shape)
+    elif isinstance(v, WhaleVolume):
+        volumes = np.full(n, v.base)
+        volumes[v.position] = v.whale_volume
+    else:
+        volumes = np.full(n, v.level)
+    if config.coupling != 0.0:
+        volumes = volumes * np.exp(config.coupling * shocks)
+    return prices.astype(np.float64), volumes.astype(np.float64)
+
+
+def old_check_tape(times, prices, volumes, values, epsilon):
+    """The checks of ``TradeTape`` as they were before they ran in blocks:
+    one pass of whole-array masks for the tick rules, then one ``np.diff``
+    of every time for the spacing.  Raises what the tape raises for its
+    first fault, and returns None for a valid tape."""
+    t, p, u, c = (np.array(x, dtype=np.float64) for x in (times, prices, volumes, values))
+    if len(t) == 0:
+        raise EmptyTape("tape has no ticks")
+    if not (len(p) == len(u) == len(c) == len(t)):
+        raise MalformedRow("field arrays have unequal lengths")
+    with np.errstate(all="ignore"):
+        bad = ~(np.isfinite(t) & np.isfinite(p) & np.isfinite(u) & np.isfinite(c))
+        bad |= (p <= 0) | (u <= 0) | (c <= 0) | (np.abs(c - p * u) > VALUE_REL_TOL * c)
+    if bad.any():
+        i = int(np.argmax(bad))
+        TradeTick(i, float(t[i]), float(p[i]), float(u[i]), float(c[i]))  # raises
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise NonUniformSpacing(f"epsilon must be a positive real, got {epsilon!r}")
+    gaps = np.diff(t)
+    bad = np.flatnonzero(np.abs(gaps - epsilon) > SPACING_REL_TOL * epsilon)
+    if bad.size:
+        i = int(bad[0])
+        detail = f"spacing {float(gaps[i])!r} != epsilon {epsilon!r}"
+        exc = NonUniformSpacing(f"ticks {i}->{i + 1}: {detail}")
+        exc.tick, exc.detail = i + 1, detail
+        raise exc
 
 
 # The published schemas as they were written out by hand before they were

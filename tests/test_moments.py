@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -413,6 +414,23 @@ class TestMomentReports:
         assert per_block < len(reports) < 2 * per_block
         for rep in reports[per_block - 2:per_block + 2] + reports[-2:]:
             assert rep == _single_order_report(tape, rep.window_start, count, 1, 2)
+
+    def test_table_is_filled_a_block_at_a_time(self):
+        # a 200k-tick sweep holds its table and a few blocks' series and
+        # moments, never the moments of every window and a copy of them
+        tape = generate(GenConfig.from_json({
+            "ticks": 200_000, "seed": 5,
+            "price": {"model": "walk", "start": 100.0, "log_vol": 0.025},
+            "volume": {"model": "heavy_tail", "base": 50.0, "shape": 2.5}}))
+        block = 4 * moments.BLOCK_ELEMENTS * 8  # a block's four float64 tape series
+        tracemalloc.start()
+        try:
+            table = moments.moment_table(tape, WindowSpec(10, 30), 1, 8, stride=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (len(range(10, len(tape) - 30 + 1, 7)), 4 + 6 * 8 + 6)
+        assert peak <= table.nbytes + 10 * block, (peak - table.nbytes) / block
 
     def test_stride_zero_is_the_window_alone(self):
         tape = generate(HOSTILE["decades"])

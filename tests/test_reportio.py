@@ -136,6 +136,42 @@ def test_float_tables_match_old_writer(case):
             == old_dumps_json({"rows": dicts}).splitlines(True))
 
 
+@settings(max_examples=budget(100), deadline=None)
+@given(float_tables(), st.lists(st.integers(0, 600), max_size=4))
+def test_float_blocks_write_as_their_table(case, cuts):
+    # a table handed over as an iterator of blocks of rows, cut anywhere
+    # (empty blocks too), writes as the whole table: CSV and Records JSON
+    _, _, table = case
+    edges = sorted({0, len(table), *(min(c, len(table)) for c in cuts)})
+    blocks = [table[a:b] for a, b in zip(edges, edges[1:])] or [table]
+    names = [f"f{k}" for k in range(table.shape[1])]
+    new, whole = io.StringIO(), io.StringIO()
+    write_csv_rows(new, names, iter(blocks))
+    write_csv_rows(whole, names, table)
+    assert new.getvalue().splitlines(True) == whole.getvalue().splitlines(True)
+    assert (dumps_json({"rows": Records(names, iter(blocks))}).splitlines(True)
+            == dumps_json({"rows": Records(names, table)}).splitlines(True))
+
+
+def test_float_blocks_are_written_as_they_come():
+    # each block is written before the next is taken
+    taken, writes = [], []
+
+    def blocks():
+        for k in range(3):
+            taken.append(k)
+            yield np.full((2 * reportio._CHUNK, 2), k + 0.5)
+
+    class Stream:
+        def write(self, text):
+            writes.append((text.count("\n"), len(taken)))
+
+    write_csv_rows(Stream(), ["x", "y"], blocks())
+    header, *rows = writes
+    assert sum(n for n, _ in rows) == 6 * reportio._CHUNK
+    assert [k for _, k in rows] == [1, 1, 2, 2, 3, 3]
+
+
 @pytest.mark.parametrize("chunk", [2, 4, 256])
 def test_csv_rows_of_other_lengths_in_one_chunk(monkeypatch, chunk):
     # the last two rows hold as many floats as two rows of the first shape

@@ -22,7 +22,7 @@ from vawar.synth import (
 )
 from vawar.tape import LagSpec, WindowSpec, resolve
 
-from helpers import random_config
+from helpers import old_generate, random_config
 
 
 def config(ticks=8, seed=3, price=None, volume=None, **kw):
@@ -65,6 +65,22 @@ class TestGenerate:
         ))
         assert tape.volumes[4] == 1e6
         assert np.all(np.delete(tape.volumes, 4) == 1.0)
+
+    def test_whale_volume_keeps_its_fraction_over_an_integer_base(self):
+        tape = generate(GenConfig.from_json({
+            "ticks": 5, "seed": 1, "price": {"model": "constant", "level": 2},
+            "volume": {"model": "whale", "base": 1, "whale_volume": 100.5, "position": 2}}))
+        assert tape.volumes.tolist() == [1.0, 1.0, 100.5, 1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_series_built_in_place_match_their_formulas(self, seed):
+        # the in-place steps round as the formula's fresh temporaries did
+        cfg = random_config(seed, 300 + 37 * seed)
+        tape = generate(cfg)
+        prices, volumes = old_generate(cfg)
+        assert tape.prices.tobytes() == prices.tobytes()
+        assert tape.volumes.tobytes() == volumes.tobytes()
+        assert tape.values.tobytes() == (prices * volumes).tobytes()
 
     def test_coupling_changes_volumes_only(self):
         base = config(ticks=30, price=WalkPrice(start=10.0, log_vol=0.05))

@@ -14,9 +14,11 @@ from vawar.errors import (
     NonFinite,
     NonPositiveField,
     NonUniformSpacing,
+    TapeError,
     ValueMismatch,
     WindowOutOfRange,
 )
+from vawar.synth import GenConfig, generate
 from vawar.tape import (
     DERIVE_VALUE,
     WITH_VALUE,
@@ -31,7 +33,7 @@ from vawar.tape import (
 )
 
 from conftest import FIXTURE_CSV
-from helpers import old_ingest
+from helpers import old_check_tape, old_ingest
 
 FIELDS = ("times", "prices", "volumes", "values")
 
@@ -235,6 +237,183 @@ def test_open_file_peak_is_a_few_times_the_tape(tmp_path):
         tracemalloc.stop()
     assert len(tape) == n
     assert peak < 4 * arrays, (peak, arrays)
+
+
+# A tape of tape_io's size: 200k ticks of walk prices and heavy-tail volumes.
+BIG_CONFIG = {"ticks": 200_000, "seed": 5,
+              "price": {"model": "walk", "start": 100.0, "log_vol": 0.025},
+              "volume": {"model": "heavy_tail", "base": 50.0, "shape": 2.5}}
+
+
+def _traced_peak(f):
+    # (f(), the peak of the memory traced while f ran)
+    tracemalloc.start()
+    try:
+        result = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _nbytes(tape):
+    return sum(getattr(tape, field).nbytes for field in FIELDS)
+
+
+@pytest.fixture(scope="module")
+def big_tape():
+    return generate(GenConfig.from_json(BIG_CONFIG))
+
+
+@pytest.fixture(scope="module")
+def big_csv(big_tape, tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "tape.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(big_tape, fh)
+    return path
+
+
+class TestHeldOnce:
+    """A 200k-tick tape is held about once while it is built, checked and
+    written: no full-length temporaries and no second copy of an array."""
+
+    def test_generate(self):
+        tape, peak = _traced_peak(lambda: generate(GenConfig.from_json(BIG_CONFIG)))
+        assert peak <= 1.5 * _nbytes(tape), (peak, _nbytes(tape))
+
+    @pytest.mark.parametrize("value_format", [WITH_VALUE, DERIVE_VALUE])
+    def test_ingest(self, big_tape, big_csv, value_format):
+        def read():
+            with open(big_csv, encoding="utf-8") as fh:
+                return ingest(fh, value_format)
+
+        tape, peak = _traced_peak(read)
+        assert len(tape) == len(big_tape)
+        assert peak <= 1.5 * _nbytes(tape), (peak, _nbytes(tape))
+
+    def test_write_csv(self, big_tape, tmp_path):
+        # the tape is held already: the writer adds one block of rows and text
+        with open(tmp_path / "tape.csv", "w", encoding="utf-8", newline="") as fh:
+            _, peak = _traced_peak(lambda: write_csv(big_tape, fh))
+        assert peak <= 2 * 2**20, peak
+
+
+K = vawar.tape._CHECK_BLOCK
+
+
+def _clean_fields(n, seed=0):
+    # the arrays of a valid tape of n ticks at epsilon 0.5
+    rng = np.random.default_rng(seed)
+    prices = np.exp(rng.normal(0, 0.5, n)) * 20.0
+    volumes = rng.uniform(1.0, 1e3, n)
+    return [0.5 * np.arange(n, dtype=np.float64), prices, volumes, prices * volumes]
+
+
+def _inject(fields, fault, i):
+    # put one fault of BLOCK_FAULTS at tick i
+    if fault == "gap":  # tick i off the grid: bad gaps i-1 -> i and i -> i+1
+        fields[0][i] += 0.25
+    elif fault == "overflow":  # a finite value, but price * volume overflows
+        fields[1][i] = fields[2][i] = fields[3][i] = 1e300
+    elif fault == "mismatch":
+        fields[3][i] *= 1 + 2e-9
+    else:
+        column, x = {"nan time": (0, math.nan), "nan price": (1, math.nan),
+                     "inf volume": (2, math.inf), "zero volume": (2, 0.0),
+                     "negative value": (3, -1.5)}[fault]
+        fields[column][i] = x
+
+
+BLOCK_FAULTS = ("gap", "overflow", "mismatch", "nan time", "nan price", "inf volume",
+                "zero volume", "negative value")
+
+
+def _raised(check, fields, epsilon=0.5):
+    # the class, message, tick and detail of what check(*fields, epsilon) raises
+    try:
+        check(*fields, epsilon)
+    except TapeError as exc:
+        return type(exc), str(exc), exc.tick, exc.detail
+    return None
+
+
+class TestBlockChecks:
+    """The tape's checks run ``_CHECK_BLOCK`` ticks at a time and raise
+    what one pass over the whole arrays (``helpers.old_check_tape``)
+    raised."""
+
+    @pytest.mark.parametrize("fault", BLOCK_FAULTS)
+    @pytest.mark.parametrize("tick", [0, K - 1, K, K + 1, 2 * K + 2])
+    def test_fault_at_block_edges(self, fault, tick):
+        fields = _clean_fields(2 * K + 3)
+        _inject(fields, fault, tick)
+        expected = _raised(old_check_tape, fields)
+        assert expected is not None
+        assert _raised(TradeTape, fields) == expected
+        if fault == "gap" and tick == K:  # the gap that spans the blocks
+            assert expected[1] == f"ticks {K - 1}->{K}: spacing 0.75 != epsilon 0.5"
+
+    def test_later_tick_fault_wins_over_earlier_spacing_fault(self):
+        fields = _clean_fields(2 * K + 3)
+        _inject(fields, "gap", 5)
+        _inject(fields, "zero volume", K + 3)
+        expected = _raised(old_check_tape, fields)
+        assert expected[:3] == (NonPositiveField, f"tick {K + 3}: volume must be > 0, got 0.0",
+                                K + 3)
+        assert _raised(TradeTape, fields) == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_faults_near_block_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(K + 2, 3 * K))
+        fields = _clean_fields(n, seed)
+        edges = [t for k in (K, 2 * K) for t in range(k - 2, k + 3) if t < n]
+        for _ in range(int(rng.integers(1, 4))):
+            tick = int(rng.choice(edges)) if rng.random() < 0.7 else int(rng.integers(n))
+            _inject(fields, BLOCK_FAULTS[rng.integers(len(BLOCK_FAULTS))], tick)
+        assert _raised(TradeTape, fields) == _raised(old_check_tape, fields)
+        assert _raised(TradeTape, _clean_fields(n, seed)) is None
+
+    @pytest.mark.parametrize("cell, tick, error, message", [
+        ("0", K + 1, NonPositiveField, f"row {K + 4}: volume must be > 0, got 0.0"),
+        ("nan", K, NonFinite, f"row {K + 3}: volume 'nan' is not finite"),
+    ])
+    def test_ingest_names_row_past_first_block(self, cell, tick, error, message):
+        lines = [f"{i},2,10" for i in range(K + 10)]
+        lines[tick] = f"{tick},2,{cell}"
+        lines.insert(7, "")
+        with pytest.raises(error) as info:
+            ingest("time,price,volume\n" + "\n".join(lines) + "\n", DERIVE_VALUE)
+        assert str(info.value) == message
+
+    def test_ingest_names_gap_across_block_edge(self):
+        lines = [f"{i},2,10" for i in range(K + 10)]
+        lines[K] = f"{K + 0.5},2,10"
+        with pytest.raises(NonUniformSpacing) as info:
+            ingest("time,price,volume\n" + "\n".join(lines) + "\n", DERIVE_VALUE)
+        assert str(info.value) == f"row {K + 2}: spacing 1.5 != epsilon 1.0"
+        assert info.value.tick == K
+
+    def test_public_constructor_copies(self):
+        fields = _clean_fields(10)
+        tape = TradeTape(*fields, 0.5)
+        for name, x in zip(FIELDS, fields):
+            assert not np.shares_memory(getattr(tape, name), x)
+            assert x.flags.writeable
+            x[0] = 7.0
+        assert tape.prices[0] != 7.0
+        assert _raised(old_check_tape, [getattr(tape, name) for name in FIELDS]) is None
+
+    @pytest.mark.parametrize("supply_values", [False, True])
+    def test_from_arrays_copies(self, supply_values):
+        _, prices, volumes, values = _clean_fields(10)
+        tape = TradeTape.from_arrays(prices, volumes, epsilon=0.5,
+                                     values=values if supply_values else None)
+        for given in (prices, volumes, values):
+            assert not any(np.shares_memory(getattr(tape, name), given) for name in FIELDS)
+            assert given.flags.writeable
+        prices[0] = volumes[0] = values[0] = 7.0
+        assert 7.0 not in (tape.prices[0], tape.volumes[0], tape.values[0])
 
 
 # Cells that do not parse, parse to a non-finite number, or parse to what
