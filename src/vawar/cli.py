@@ -17,12 +17,27 @@ input file (or standard input), which ingest reads a block at a time as it
 parses them; only the header and the first two data rows are read ahead,
 for ``--values auto`` and the inferred spacing.  The lines break exactly
 where ``str.splitlines`` breaks the whole text.
+
+Reports go to ``--out``, or standard output for none or ``-``.  Every CSV
+report streams there through ``reportio.write_csv_rows``, each run of at
+most 256 rows written as it is formatted: ``stats`` hands the writer the
+kernel's blocks of windows (``moments.moment_blocks``), ``acorr`` and
+``xcorr`` their rows as each block of shifts is computed, and ``density``
+its grid, so no CSV report is held as a row list or as text.  Every check
+(window, lag, order, stride, every shift) runs before ``--out`` is opened,
+so a report that fails one exits 1 and creates no file; a write that fails
+midway, on a full disk say, leaves the rows already written, as one write
+of the whole text could.  A JSON report is built whole by
+``reportio.dumps_json``, which the benchmark's per-layer timing reads, and
+written once built, so a report that fails while it is built leaves no
+file.  JSON ``stats`` fills its table before the text is built: taking
+the blocks while the text grows interleaves them on the heap and raised
+the rolling sweep's peak memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from contextlib import contextmanager
 from itertools import chain
@@ -166,26 +181,25 @@ def _document(subcommand, items):
                        **dict(items)})
 
 
-def _csv(fields, rows):
-    # CSV text of rows laid out by fields: their columns, then the rows
+def _write_csv(path, fields, rows):
+    # rows laid out by fields to --out as they come: their columns, then the rows
     from .reportio import columns, write_csv_rows
 
-    sink = io.StringIO()
-    write_csv_rows(sink, columns(fields), rows)
-    return sink.getvalue()
+    with _output(path) as fh:
+        write_csv_rows(fh, columns(fields), rows)
 
 
 def _emit(args, subcommand, key, fields, rows, head=()):
     """Write a report of rows laid out by ``fields`` in ``--format``.  CSV:
-    the columns, then the rows.  JSON: the envelope and the (key, value)
-    pairs ``head``, then the rows as a list of objects under ``key``."""
+    the columns, then the rows, each run written as it is formatted.  JSON:
+    the envelope and the (key, value) pairs ``head``, then the rows as a
+    list of objects under ``key``, written once the whole text is built."""
     from .reportio import Records
 
     if args.format == CSV:
-        text = _csv(fields, rows)
+        _write_csv(args.out, fields, rows)
     else:
-        text = _document(subcommand, [*head, (key, Records(fields, rows))])
-    _write_text(args.out, text)
+        _write_text(args.out, _document(subcommand, [*head, (key, Records(fields, rows))]))
 
 
 def _cmd_validate(args):
@@ -203,13 +217,15 @@ def _cmd_validate(args):
 
 
 def _cmd_stats(args):
-    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_table
+    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_blocks, moment_table
     from .tape import WindowSpec
 
     order_cap = DEFAULT_ORDER_CAP if args.order_cap is None else args.order_cap
-    table = moment_table(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
-                         args.order, args.stride, order_cap)
-    _emit(args, "stats", "reports", MomentReport.json_fields(args.order), table)
+    # CSV takes the kernel's blocks as they are computed; JSON a filled table
+    sweep = moment_blocks if args.format == CSV else moment_table
+    rows = sweep(_load_tape(args), WindowSpec(args.start, args.window), args.lag, args.order,
+                 args.stride, order_cap)
+    _emit(args, "stats", "reports", MomentReport.json_fields(args.order), rows)
     return 0
 
 
@@ -221,10 +237,12 @@ def _emit_sweep(args, subcommand, rows):
 def _shift_rows(args, stats, rows, degrees=(1, 1)):
     """Sweep rows for pair shifts j = 0..--max-shift from one
     :func:`vawar.correlations.pair_sweep` call over ``stats`` (window1's
-    series cached once, window2's batched over blocks of shifts).
-    ``rows(*results)`` lists (n, m, statistic, value_form, price_form,
-    definitional) per statistic of one shift; each sweep row is a tuple of
-    the ``SWEEP_COLUMNS`` cells."""
+    series cached once, window2's batched over blocks of shifts), as an
+    iterator: every shift is checked before this returns, and each block
+    of shifts is computed as its rows are taken.  ``rows(*results)`` lists
+    (n, m, statistic, value_form, price_form, definitional) per statistic
+    of one shift; each sweep row is a tuple of the ``SWEEP_COLUMNS``
+    cells."""
     from .correlations import pair_sweep
     from .tape import WindowSpec
 
@@ -232,8 +250,8 @@ def _shift_rows(args, stats, rows, degrees=(1, 1)):
     lag2 = args.lag2 if args.lag2 is not None else args.lag
     sweep = pair_sweep(tape, WindowSpec(args.start, args.window), args.lag, lag2,
                        args.max_shift, stats, degrees)
-    return [(j, args.lag, lag2, *stat) for j, results in enumerate(sweep)
-            for stat in rows(*results)]
+    return ((j, args.lag, lag2, *stat) for j, results in enumerate(sweep)
+            for stat in rows(*results))
 
 
 def _cmd_acorr(args):
@@ -275,9 +293,8 @@ def _cmd_density(args):
         grid = charfn.GridSpec(args.grid_min, args.grid_max, points)
     dens = charfn.invert_density(approx, grid)
 
-    sink = io.StringIO()
-    charfn.write_density_csv(dens, sink)
-    _write_text(args.out, sink.getvalue())
+    with _output(args.out) as fh:
+        charfn.write_density_csv(dens, fh)
 
     sidecar_path = args.sidecar
     if sidecar_path is None and args.out not in (None, "-"):
@@ -308,10 +325,9 @@ def _cmd_contrast(args):
     )
     row = (args.start, args.window, args.lag, result.freq_mean_return, result.vawar, result.gap)
     if args.format == CSV:
-        text = _csv(CONTRAST_FIELDS, [row])
+        _write_csv(args.out, CONTRAST_FIELDS, [row])
     else:
-        text = _document("contrast", zip(CONTRAST_FIELDS, row))
-    _write_text(args.out, text)
+        _write_text(args.out, _document("contrast", zip(CONTRAST_FIELDS, row)))
     return 0
 
 

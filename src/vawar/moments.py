@@ -33,12 +33,15 @@ first use.  Each moment is one reduction over the last axis, and each
 window's scales are restored with Python ``float ** int``, so a sweep is
 byte-identical to its windows computed one at a time.  ``_Series.blocks``
 cuts every sweep's windows from the tape, one contiguous row each: the
-strided windows of ``moment_table`` and the shifted twins of
-``correlations.pair_sweep``.  ``moment_table`` gives a sweep as one
-float64 array in the report layout, which ``stats`` hands to the writer;
-``moment_reports`` reads its rows back as ``MomentReport``s.  The public
-moment functions, the dispersions and the volatilities are views of a
-block of one.
+strided windows of a ``stats`` sweep and the shifted twins of
+``correlations.pair_sweep``.  ``moment_blocks`` checks a sweep, then
+gives its rows in the report layout as an iterator of float64 blocks, one
+per kernel block, computed as they are taken: ``stats --format csv`` hands
+them to the writer, which writes each before the next is computed.
+``moment_table`` fills one float64 array from the same blocks (JSON
+``stats`` writes it), and ``moment_reports`` reads its rows back as
+``MomentReport``s.  The public moment functions, the dispersions and the
+volatilities are views of a block of one.
 """
 
 from __future__ import annotations
@@ -450,31 +453,58 @@ class MomentReport:
                 self.sigma_r2)
 
 
-def _table(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
-    # moment_table, its order warnings naming the caller of its caller
+def _sweep(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
+    # The checks of a stats sweep, then the shape of its table and an
+    # iterator of the table's blocks of rows, one per kernel block.  Its
+    # order warnings name the caller of its caller.
     stride = integral("stride", stride, 0)
     lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
     count, first = window.count, window.start
     order_max = check_order(order_max, count=count, order_cap=order_cap, stacklevel=4)
-    top = max(order_max, 2)  # the dispersions need order 2
     # one step past the end when stride is 0: the first window only
     starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
     sigmas = 4 + len(_FAMILIES) * order_max  # the column of the first sigma
-    table = np.empty((len(starts), sigmas + len(_SIGMAS)))
-    table[:, :4] = (0.0, count, lag_l, order_max)
-    table[:, 0] = starts
-    lo = 0
-    # Each block fills its rows.  x holds a block while the next is cut, so
-    # the allocator reuses the memory of one block for the block after
-    # next: freed before the next is cut, it is returned to the system and
-    # faulted back in for every block.
+    shape = len(starts), sigmas + len(_SIGMAS)
+    return shape, _row_blocks(tape, starts, count, lag_l, order_max, sigmas)
+
+
+def _row_blocks(tape, starts, count, lag_l, order_max, sigmas):
+    top = max(order_max, 2)  # the dispersions need order 2
+    # x holds a block while the next is cut, so the allocator reuses the
+    # memory of one block for the block after next: freed before the next
+    # is cut, it is returned to the system and faulted back in for every
+    # block.
     for x in _Series.blocks(tape, starts, count, lag_l):
         m = x.moments(top)
-        rows = table[lo:lo + len(m)]
+        rows = np.empty((len(m), sigmas + len(_SIGMAS)))
+        rows[:, 0] = starts[:len(m)]
+        rows[:, 1:4] = (count, lag_l, order_max)
         rows[:, 4:sigmas] = m[..., :order_max].reshape(len(m), -1)
         rows[:, sigmas:] = _sigmas(m)
-        lo += len(m)
+        starts = starts[len(m):]
+        yield rows
+
+
+def _table(shape, blocks):
+    # the table of a sweep, filled a block of rows at a time
+    table = np.empty(shape)
+    lo = 0
+    for rows in blocks:
+        table[lo:lo + len(rows)] = rows
+        lo += len(rows)
     return table
+
+
+def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
+                  order_cap=DEFAULT_ORDER_CAP):
+    """The rows of :func:`moment_table` as an iterator of float64 blocks,
+    one per kernel block of about ``BLOCK_ELEMENTS`` ticks, each computed
+    as it is taken, so that no more than a block of the table is held.
+
+    Every check runs, and raises or warns as :func:`moment_table` does,
+    before this returns.
+    """
+    return _sweep(tape, window, lag_l, order_max, stride, order_cap)[1]
 
 
 def moment_table(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
@@ -484,9 +514,9 @@ def moment_table(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
     family's orders 1..order_max, then the six sigmas.
 
     Raises what :func:`vawar.tape.resolve` raises for the first window.
-    Windows are computed in blocks of about ``BLOCK_ELEMENTS`` ticks.
+    The table is filled from the blocks that :func:`moment_blocks` gives.
     """
-    return _table(tape, window, lag_l, order_max, stride, order_cap)
+    return _table(*_sweep(tape, window, lag_l, order_max, stride, order_cap))
 
 
 def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
@@ -494,7 +524,7 @@ def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
     """Reports of the window and of every later window ``stride`` ticks on
     that fits in the tape (the window alone when ``stride`` is 0): the rows
     of :func:`moment_table`."""
-    table = _table(tape, window, lag_l, order_max, stride, order_cap)
+    table = _table(*_sweep(tape, window, lag_l, order_max, stride, order_cap))
     return list(map(MomentReport.from_row, table.tolist()))
 
 

@@ -9,11 +9,14 @@ and a slot per varying cell: ``%.17g`` for a float (17 significant digits
 round-trip binary64, so identical inputs give byte-identical reports),
 ``%d`` for an int and ``%s`` for a nested container, written per row.
 
-The rows are read in one pass, as runs of one shape: a row of another
-shape, or a run of ``_CHUNK`` rows, closes the run, and a closed run is
-written by one ``%`` over the flat tuple of its numbers.  So the formatter
-recurses over containers and shapes, never over the numbers, and holds at
-most ``_CHUNK`` rows at a time.
+The rows are read in one pass, as runs of ``_CHUNK`` rows of any shapes:
+each row adds its shape's template to the run (looked up once per shape
+and run) and its numbers to the run's flat tuple, and a full run is
+written by one ``%`` over its joined templates.  So rows whose shapes
+alternate, as an ``xcorr`` sweep's ``corr_rU`` and ``corr_rp`` rows do,
+cost no more ``%`` calls than rows of one shape.  The formatter recurses
+over containers and shapes, never over the numbers, and holds at most
+``_CHUNK`` rows at a time.
 
 Rows may also come as a 2-D float64 array, one row per report row, or as
 an iterable of such arrays (blocks of rows, taken one at a time, so a
@@ -175,20 +178,14 @@ def _template(style, fields, indent, level, shape):
     return (pad + text + ",\n" if style == "record" else text), slots
 
 
-def _run_text(template, slots, run):
-    # the text of a run of rows of one template: one % over their numbers
-    cells = chain.from_iterable(run)
-    return (template * len(run)) % tuple(compress(cells, slots * len(run)) if slots else cells)
-
-
 #: The end of an iterator of rows, which no row is.
 _END = object()
 
 
 def _rows(rows, style, fields=None, indent=0, level=0):
     """Yield the text of ``rows`` (sequences of cells, a 2-D float array,
-    or an iterable of 2-D float arrays), one run of rows of one shape, of
-    at most ``_CHUNK`` rows, at a time."""
+    or an iterable of 2-D float arrays), one run of at most ``_CHUNK``
+    rows at a time."""
     if isinstance(rows, np.ndarray):
         yield from _float_rows((rows,), style, fields, indent, level)
         return
@@ -224,7 +221,9 @@ def _cell_rows(rows, style, fields, indent, level):
     render = _json_value if json_out else _csv_value
     write = partial(_json, indent=indent, level=level + 1) if json_out else str
     types = shape = None
-    run = []
+    # the (template, slots) of each shape in the run, so that distinct
+    # string cells cannot grow it past _CHUNK shapes
+    shapes, run, cells = {}, [], []
     for row in rows:
         if (row_types := tuple(map(type, row))) != types:
             types, row_type = row_types, _row_type(row_types, json_out)
@@ -233,20 +232,23 @@ def _cell_rows(rows, style, fields, indent, level):
             for i in row_type.containers:
                 row[i] = write(row[i])
         # the shape, keyed on the raw "v" cells: their text is rendered
-        # only when the shape changes
+        # once per shape and run
         key = (types, tuple(compress(row, row_type.values)),
                tuple(map(math.isfinite, compress(row, row_type.floats))))
-        if key != shape or len(run) == _CHUNK:
-            if run:
-                yield _run_text(template, slots, run)
-                run = []
-            if key != shape:
-                shape = key
+        if key != shape:  # a row of the last row's shape skips the lookup
+            shape = key
+            if (entry := shapes.get(key)) is None:
                 texts = tuple(map(render, key[1]))
-                template, slots = _template(style, fields, indent, level, (row_type, texts, key[2]))
-        run.append(row)
+                entry = shapes[key] = _template(style, fields, indent, level,
+                                                (row_type, texts, key[2]))
+            template, slots = entry
+        run.append(template)
+        cells.extend(compress(row, slots) if slots else row)
+        if len(run) == _CHUNK:
+            yield "".join(run) % tuple(cells)
+            shapes, run, cells = {}, [], []
     if run:
-        yield _run_text(template, slots, run)
+        yield "".join(run) % tuple(cells)
 
 
 def _key(key):

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -13,8 +14,8 @@ from vawar.cli import build_parser, main
 from vawar.correlations import ADJPRICE_ADJPRICE, pair_windows, paired_expectation
 from vawar.errors import (MalformedRow, NonFinite, NonPositiveField, NonUniformSpacing,
                           OrderExceedsWindow, VawarError)
-from vawar.moments import (MomentReport, adjusted_moments, moment_report, moment_reports,
-                           return_moment)
+from vawar.moments import (BLOCK_ELEMENTS, MomentReport, adjusted_moments, moment_report,
+                           moment_reports, return_moment)
 from vawar.reportio import SCHEMA_VERSION, dumps_json
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import (LagSpec, TradeTape, WindowSpec, infer_epsilon, ingest, resolve,
@@ -454,6 +455,72 @@ class TestOutputBytes:
         if subcommand == "xcorr":  # corr_rp rows have no price form
             shapes = [(row["statistic"], row["price_form"] is None) for row in doc["rows"]]
             assert shapes == [("corr_rU", False), ("corr_rp", True)] * 51
+
+
+class TestStreamedOutput:
+    """CSV reports stream to --out as they are formatted: every check runs
+    before the file is opened, standard output takes the same bytes as a
+    file, and a sweep holds a few blocks of windows, not its table or its
+    text."""
+
+    WALK = GenConfig(ticks=2000, seed=20, price=WalkPrice(start=100.0, log_vol=0.02),
+                     volume=HeavyTailVolume(base=50.0, shape=2.5))
+
+    @pytest.mark.parametrize("subcommand,extra", [
+        ("stats", ["--start", "0"]),
+        ("stats", ["--start", "0", "--stride", "1"]),
+        ("acorr", ["--start", "0"]),
+        ("acorr", ["--start", "2", "--max-shift", "5"]),  # shift 2 runs out of history
+    ])
+    def test_failed_check_creates_no_file(self, capsys, fixture_csv, tmp_path, subcommand,
+                                          extra):
+        out = tmp_path / "report.csv"
+        status, stdout, err = run(capsys, subcommand, str(fixture_csv), "--window", "2",
+                                  "--lag", "1", *extra, "--format", "csv", "--out", str(out))
+        assert (status, stdout) == (1, "")
+        assert err == f"vawar {subcommand}: error: window starting at 0 needs 1 ticks of history\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--window", "20", "--start", "1", "--lag", "1", "--order", "4",
+         "--stride", "1"],
+        ["acorr", "--window", "20", "--start", "1700", "--lag", "1", "--lag2", "2",
+         "--max-shift", "1600"],
+    ])
+    def test_standard_output_takes_the_file_bytes(self, capsys, tmp_path, argv):
+        # more than one kernel block, and many writer runs
+        path = _tape_file(tmp_path, "walk", generate(self.WALK))
+        argv = [argv[0], str(path), *argv[1:], "--format", "csv"]
+        out = tmp_path / "report.csv"
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        want = out.read_bytes()
+        assert want.count(b"\n") > BLOCK_ELEMENTS // 20
+        for to_stdout in ([], ["--out", "-"]):
+            status, text, _ = run(capsys, *argv, *to_stdout)
+            assert status == 0
+            assert text.encode("utf-8").splitlines(True) == want.splitlines(True)
+
+    def test_csv_sweep_holds_the_tape_and_a_few_blocks(self, tmp_path):
+        # 20k windows of 20 ticks: their table is 3.4 MiB and its text 7 MiB,
+        # a block of windows BLOCK_ELEMENTS ticks per field
+        tape = generate(GenConfig(ticks=20_020, seed=4,
+                                  price=WalkPrice(start=100.0, log_vol=0.02),
+                                  volume=HeavyTailVolume(base=50.0, shape=2.5)))
+        path = _tape_file(tmp_path, "long", tape)
+        tape_bytes = sum(x.nbytes for x in (tape.times, tape.prices, tape.volumes, tape.values))
+        del tape
+        out = tmp_path / "stats.csv"
+        tracemalloc.start()
+        try:
+            status = main(["stats", str(path), "--window", "20", "--start", "1", "--lag", "1",
+                           "--stride", "1", "--format", "csv", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        with open(out, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 20_000
+        assert peak < tape_bytes + 32 * (BLOCK_ELEMENTS * 8)
 
 
 def _walk_with_big_tick(tmp_path, name, price=None, value=None):

@@ -404,6 +404,22 @@ class TestMomentReports:
         for rep in reports:
             assert rep == _single_order_report(tape, rep.window_start, 12, 2, 5)
 
+    @pytest.mark.parametrize("block_windows", [1, 4, 50])
+    def test_blocks_are_the_table_a_kernel_block_at_a_time(self, monkeypatch, block_windows):
+        tape = generate(HOSTILE["decades"])
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 12 * block_windows)
+        blocks = list(moments.moment_blocks(tape, WindowSpec(2, 12), 2, 5, stride=1))
+        assert [len(b) for b in blocks[:-1]] == [block_windows] * (len(blocks) - 1)
+        table = moments.moment_table(tape, WindowSpec(2, 12), 2, 5, stride=1)
+        assert np.concatenate(blocks).tobytes() == table.tobytes()
+
+    def test_blocks_check_before_they_return(self, tape_a):
+        # nothing is taken from the iterators: the checks run at the call
+        with pytest.raises(InsufficientHistory, match="window starting at 0 needs 1 ticks"):
+            moments.moment_blocks(tape_a, WindowSpec(0, 3), 1)
+        with pytest.warns(OrderExceedsWindow):
+            moments.moment_blocks(tape_a, WindowSpec(1, 3), 1, 4)
+
     def test_default_block_sweep_ends_in_partial_block(self):
         tape = generate(HOSTILE["decades"])
         count = 2

@@ -172,6 +172,26 @@ def test_float_blocks_are_written_as_they_come():
     assert [k for _, k in rows] == [1, 1, 2, 2, 3, 3]
 
 
+def test_alternating_shapes_share_a_run():
+    # a sweep's corr_rU/corr_rp rows alternate shapes, yet each run of
+    # _CHUNK rows is one % and one write
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    fields = ("j", "statistic", "value_form", "price_form", "definitional")
+    rows = [(j, "corr_rU", 0.5 * j, 1.0 / (j + 1), -j * 1e300) if j % 2 else
+            (j, "corr_rp", 2.0 * j, None, 1e-300 * j) for j in range(10 * reportio._CHUNK)]
+    write_csv_rows(Stream(), fields, rows)
+    header, *runs = writes
+    assert len(runs) <= 10
+    old = io.StringIO()
+    old_write_csv_rows(old, fields, rows)
+    assert (header + "".join(runs)).splitlines(True) == old.getvalue().splitlines(True)
+
+
 @pytest.mark.parametrize("chunk", [2, 4, 256])
 def test_csv_rows_of_other_lengths_in_one_chunk(monkeypatch, chunk):
     # the last two rows hold as many floats as two rows of the first shape
