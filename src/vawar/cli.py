@@ -30,9 +30,10 @@ midway, on a full disk say, leaves the rows already written, as one write
 of the whole text could.  A JSON report is built whole by
 ``reportio.dumps_json``, which the benchmark's per-layer timing reads, and
 written once built, so a report that fails while it is built leaves no
-file.  JSON ``stats`` fills its table before the text is built: taking
-the blocks while the text grows interleaves them on the heap and raised
-the rolling sweep's peak memory.
+file.  JSON ``stats`` fills its table before the text is built: blocks
+computed while the text grows are interleaved with it on the heap, which
+then keeps pages of the freed text resident, so a long sweep peaked
+higher than with the table held.
 """
 
 from __future__ import annotations

@@ -35,13 +35,14 @@ byte-identical to its windows computed one at a time.  ``_Series.blocks``
 cuts every sweep's windows from the tape, one contiguous row each: the
 strided windows of a ``stats`` sweep and the shifted twins of
 ``correlations.pair_sweep``.  ``moment_blocks`` checks a sweep, then
-gives its rows in the report layout as an iterator of float64 blocks, one
-per kernel block, computed as they are taken: ``stats --format csv`` hands
-them to the writer, which writes each before the next is computed.
-``moment_table`` fills one float64 array from the same blocks (JSON
-``stats`` writes it), and ``moment_reports`` reads its rows back as
-``MomentReport``s.  The public moment functions, the dispersions and the
-volatilities are views of a block of one.
+gives its rows in the report layout as an iterator of float64 blocks of
+whole kernel blocks and at least ``BLOCK_ROWS`` rows, computed as they
+are taken: ``stats --format csv`` hands them to the writer, which writes
+each before the next is computed.  ``moment_table`` fills one float64
+array from the same blocks (JSON ``stats`` writes it), and
+``moment_reports`` reads its rows back as ``MomentReport``s.  The public
+moment functions, the dispersions and the volatilities are views of a
+block of one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
-from .reportio import columns, pairs
+from .reportio import _CHUNK, columns, pairs
 from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, resolve
 
 #: Default cap on moment orders; higher orders warn but still compute.
@@ -63,6 +64,9 @@ DEFAULT_ORDER_CAP = 8
 
 #: Ticks per field in one block of windows that ``_Series.blocks`` yields.
 BLOCK_ELEMENTS = 2**14
+
+#: Rows at least in one block of ``moment_blocks``: one run of the writer.
+BLOCK_ROWS = _CHUNK
 
 RATIO = "ratio"
 CONVENTIONAL = "conventional"
@@ -470,18 +474,27 @@ def _sweep(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
 
 def _row_blocks(tape, starts, count, lag_l, order_max, sigmas):
     top = max(order_max, 2)  # the dispersions need order 2
-    # x holds a block while the next is cut, so the allocator reuses the
-    # memory of one block for the block after next: freed before the next
-    # is cut, it is returned to the system and faulted back in for every
-    # block.
-    for x in _Series.blocks(tape, starts, count, lag_l):
-        m = x.moments(top)
-        rows = np.empty((len(m), sigmas + len(_SIGMAS)))
-        rows[:, 0] = starts[:len(m)]
+    # A block of rows is whole kernel blocks and at least BLOCK_ROWS rows,
+    # so the kernel blocks run back to back and the writer allocates
+    # between blocks of rows: between kernel blocks, it made glibc return
+    # the heap top and fault it back in for every kernel block.
+    windows = max(1, BLOCK_ELEMENTS // count)  # per kernel block
+    step = -(-BLOCK_ROWS // windows) * windows
+    for lo in range(0, len(starts), step):
+        s = starts[lo:lo + step]
+        rows = np.empty((len(s), sigmas + len(_SIGMAS)))
+        rows[:, 0] = s
         rows[:, 1:4] = (count, lag_l, order_max)
-        rows[:, 4:sigmas] = m[..., :order_max].reshape(len(m), -1)
-        rows[:, sigmas:] = _sigmas(m)
-        starts = starts[len(m):]
+        at = 0
+        # x holds a block while the next is cut, so the allocator reuses
+        # the memory of one block for the block after next: freed before
+        # the next is cut, it is returned to the system and faulted back
+        # in for every block.
+        for x in _Series.blocks(tape, s, count, lag_l):
+            m = x.moments(top)
+            rows[at:at + len(m), 4:sigmas] = m[..., :order_max].reshape(len(m), -1)
+            rows[at:at + len(m), sigmas:] = _sigmas(m)
+            at += len(m)
         yield rows
 
 
@@ -498,8 +511,9 @@ def _table(shape, blocks):
 def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
                   order_cap=DEFAULT_ORDER_CAP):
     """The rows of :func:`moment_table` as an iterator of float64 blocks,
-    one per kernel block of about ``BLOCK_ELEMENTS`` ticks, each computed
-    as it is taken, so that no more than a block of the table is held.
+    each of whole kernel blocks (about ``BLOCK_ELEMENTS`` ticks each) and
+    at least ``BLOCK_ROWS`` rows but the last, computed as it is taken, so
+    that no more than a block of the table is held.
 
     Every check runs, and raises or warns as :func:`moment_table` does,
     before this returns.

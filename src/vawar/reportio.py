@@ -221,8 +221,10 @@ def _cell_rows(rows, style, fields, indent, level):
     render = _json_value if json_out else _csv_value
     write = partial(_json, indent=indent, level=level + 1) if json_out else str
     types = shape = None
-    # the (template, slots) of each shape in the run, so that distinct
-    # string cells cannot grow it past _CHUNK shapes
+    # the (template, slots) of each shape in the run, which skips the
+    # rendering and _template's key (it hashes the fields) for alternating
+    # shapes; reset with each run, so that distinct string cells cannot
+    # grow it past _CHUNK shapes
     shapes, run, cells = {}, [], []
     for row in rows:
         if (row_types := tuple(map(type, row))) != types:

@@ -404,12 +404,16 @@ class TestMomentReports:
         for rep in reports:
             assert rep == _single_order_report(tape, rep.window_start, 12, 2, 5)
 
-    @pytest.mark.parametrize("block_windows", [1, 4, 50])
-    def test_blocks_are_the_table_a_kernel_block_at_a_time(self, monkeypatch, block_windows):
+    @pytest.mark.parametrize("block_windows, rows", [(1, 10), (4, 12), (7, 14), (50, 50)])
+    def test_blocks_are_the_table_whole_kernel_blocks_at_a_time(self, monkeypatch,
+                                                               block_windows, rows):
+        # each block is the fewest whole kernel blocks that hold BLOCK_ROWS
         tape = generate(HOSTILE["decades"])
         monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 12 * block_windows)
+        monkeypatch.setattr(moments, "BLOCK_ROWS", 10)
         blocks = list(moments.moment_blocks(tape, WindowSpec(2, 12), 2, 5, stride=1))
-        assert [len(b) for b in blocks[:-1]] == [block_windows] * (len(blocks) - 1)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= rows and len(blocks) > 2
         table = moments.moment_table(tape, WindowSpec(2, 12), 2, 5, stride=1)
         assert np.concatenate(blocks).tobytes() == table.tobytes()
 
