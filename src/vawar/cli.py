@@ -30,10 +30,7 @@ midway, on a full disk say, leaves the rows already written, as one write
 of the whole text could.  A JSON report is built whole by
 ``reportio.dumps_json``, which the benchmark's per-layer timing reads, and
 written once built, so a report that fails while it is built leaves no
-file.  JSON ``stats`` fills its table before the text is built: blocks
-computed while the text grows are interleaved with it on the heap, which
-then keeps pages of the freed text resident, so a long sweep peaked
-higher than with the table held.
+file; JSON ``stats`` builds it from the same kernel blocks as CSV.
 """
 
 from __future__ import annotations
@@ -218,14 +215,12 @@ def _cmd_validate(args):
 
 
 def _cmd_stats(args):
-    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_blocks, moment_table
+    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_blocks
     from .tape import WindowSpec
 
     order_cap = DEFAULT_ORDER_CAP if args.order_cap is None else args.order_cap
-    # CSV takes the kernel's blocks as they are computed; JSON a filled table
-    sweep = moment_blocks if args.format == CSV else moment_table
-    rows = sweep(_load_tape(args), WindowSpec(args.start, args.window), args.lag, args.order,
-                 args.stride, order_cap)
+    rows = moment_blocks(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
+                         args.order, args.stride, order_cap)
     _emit(args, "stats", "reports", MomentReport.json_fields(args.order), rows)
     return 0
 
@@ -286,10 +281,8 @@ def _cmd_density(args):
                               args.order)
     approx = charfn.fit_charfn(report.return_moments, b=args.damping_b, q=args.damping_q)
     points = charfn.R_POINTS if args.grid_points is None else args.grid_points
-    if args.grid_min is None and args.grid_max is None:
+    if args.grid_min is None:
         grid = charfn.GridSpec.for_approx(approx, points=points)
-    elif args.grid_min is None or args.grid_max is None:
-        raise VawarError("--grid-min and --grid-max must be given together")
     else:
         grid = charfn.GridSpec(args.grid_min, args.grid_max, points)
     dens = charfn.invert_density(approx, grid)
@@ -413,6 +406,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "density" and (args.grid_min is None) != (args.grid_max is None):
+        parser.error("--grid-min and --grid-max must be given together")
     try:
         return args.fn(args)
     except (VawarError, OSError, UnicodeDecodeError) as exc:

@@ -385,7 +385,7 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
 
 def _sweep(x1, blocks, estimators):
     # pair_sweep's results, a block of shifts at a time.  x2 holds a block
-    # while the next is cut, as in moments.moment_table: a block freed
+    # while the next is cut, as in moments._row_blocks: a block freed
     # before the next is cut is returned to the system and faulted back in.
     for x2 in blocks:
         pairs = _Pairs(x1, x2)

@@ -37,10 +37,8 @@ strided windows of a ``stats`` sweep and the shifted twins of
 ``correlations.pair_sweep``.  ``moment_blocks`` checks a sweep, then
 gives its rows in the report layout as an iterator of float64 blocks of
 whole kernel blocks and at least ``BLOCK_ROWS`` rows, computed as they
-are taken: ``stats --format csv`` hands them to the writer, which writes
-each before the next is computed.  ``moment_table`` fills one float64
-array from the same blocks (JSON ``stats`` writes it), and
-``moment_reports`` reads its rows back as ``MomentReport``s.  The public
+are taken: ``stats`` hands them to the writer in either format, and
+``moment_reports`` reads the same blocks as ``MomentReport``s.  The public
 moment functions, the dispersions and the volatilities are views of a
 block of one.
 """
@@ -443,7 +441,7 @@ class MomentReport:
     @classmethod
     def from_row(cls, row):
         """The report of one ``csv_row`` of Python numbers, such as a row of
-        :func:`moment_table`; the header cells become ints."""
+        a block of :func:`moment_blocks`; the header cells become ints."""
         start, count, lag_l, order_max = map(int, row[:4])
         ends = range(4, 4 + 7 * order_max, order_max)
         return cls(start, count, lag_l, order_max,
@@ -458,22 +456,20 @@ class MomentReport:
 
 
 def _sweep(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
-    # The checks of a stats sweep, then the shape of its table and an
-    # iterator of the table's blocks of rows, one per kernel block.  Its
-    # order warnings name the caller of its caller.
+    # The checks of a stats sweep, then an iterator of its blocks of rows.
+    # Its order warnings name the caller of its caller.
     stride = integral("stride", stride, 0)
     lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
     count, first = window.count, window.start
     order_max = check_order(order_max, count=count, order_cap=order_cap, stacklevel=4)
     # one step past the end when stride is 0: the first window only
     starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
-    sigmas = 4 + len(_FAMILIES) * order_max  # the column of the first sigma
-    shape = len(starts), sigmas + len(_SIGMAS)
-    return shape, _row_blocks(tape, starts, count, lag_l, order_max, sigmas)
+    return _row_blocks(tape, starts, count, lag_l, order_max)
 
 
-def _row_blocks(tape, starts, count, lag_l, order_max, sigmas):
+def _row_blocks(tape, starts, count, lag_l, order_max):
     top = max(order_max, 2)  # the dispersions need order 2
+    sigmas = 4 + len(_FAMILIES) * order_max  # the column of the first sigma
     # A block of rows is whole kernel blocks and at least BLOCK_ROWS rows,
     # so the kernel blocks run back to back and the writer allocates
     # between blocks of rows: between kernel blocks, it made glibc return
@@ -498,48 +494,29 @@ def _row_blocks(tape, starts, count, lag_l, order_max, sigmas):
         yield rows
 
 
-def _table(shape, blocks):
-    # the table of a sweep, filled a block of rows at a time
-    table = np.empty(shape)
-    lo = 0
-    for rows in blocks:
-        table[lo:lo + len(rows)] = rows
-        lo += len(rows)
-    return table
-
-
 def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
                   order_cap=DEFAULT_ORDER_CAP):
-    """The rows of :func:`moment_table` as an iterator of float64 blocks,
-    each of whole kernel blocks (about ``BLOCK_ELEMENTS`` ticks each) and
-    at least ``BLOCK_ROWS`` rows but the last, computed as it is taken, so
-    that no more than a block of the table is held.
+    """The windows of :func:`moment_reports` as an iterator of float64
+    blocks of rows, one ``csv_row`` per window: the header cells (whole
+    numbers), each moment family's orders 1..order_max, then the six
+    sigmas.  Each block is whole kernel blocks (about ``BLOCK_ELEMENTS``
+    ticks each) and at least ``BLOCK_ROWS`` rows but the last, computed as
+    it is taken, so that no more than a block of rows is held.
 
-    Every check runs, and raises or warns as :func:`moment_table` does,
-    before this returns.
+    Every check runs before this returns: it raises what
+    :func:`vawar.tape.resolve` raises for the first window, and warns of
+    an order above the cap or the window size.
     """
-    return _sweep(tape, window, lag_l, order_max, stride, order_cap)[1]
-
-
-def moment_table(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
-                 order_cap=DEFAULT_ORDER_CAP):
-    """The reports of :func:`moment_reports` as one float64 array, one
-    ``csv_row`` per window: the header cells (whole numbers), each moment
-    family's orders 1..order_max, then the six sigmas.
-
-    Raises what :func:`vawar.tape.resolve` raises for the first window.
-    The table is filled from the blocks that :func:`moment_blocks` gives.
-    """
-    return _table(*_sweep(tape, window, lag_l, order_max, stride, order_cap))
+    return _sweep(tape, window, lag_l, order_max, stride, order_cap)
 
 
 def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
                    order_cap=DEFAULT_ORDER_CAP):
     """Reports of the window and of every later window ``stride`` ticks on
     that fits in the tape (the window alone when ``stride`` is 0): the rows
-    of :func:`moment_table`."""
-    table = _table(*_sweep(tape, window, lag_l, order_max, stride, order_cap))
-    return list(map(MomentReport.from_row, table.tolist()))
+    of :func:`moment_blocks`."""
+    blocks = _sweep(tape, window, lag_l, order_max, stride, order_cap)
+    return [MomentReport.from_row(row) for rows in blocks for row in rows.tolist()]
 
 
 def moment_report(

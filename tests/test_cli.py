@@ -360,6 +360,20 @@ class TestDensityArguments:
         assert not out.exists()
         assert not (tmp_path / "density.csv.json").exists()
 
+    @pytest.mark.parametrize("half", [["--grid-min", "0.9"], ["--grid-max", "1.1"]])
+    def test_half_grid_is_a_usage_error(self, capsys, tmp_path, half):
+        # rejected before the input is read: the tape does not exist
+        out = tmp_path / "density.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["density", str(tmp_path / "missing.csv"), "--window", "3", "--start", "1",
+                  "--lag", "1", "--out", str(out), *half])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.splitlines()[-1] == ("vawar: error: --grid-min and --grid-max must be "
+                                        "given together")
+        assert list(tmp_path.iterdir()) == []
+
 
 def _tape_file(tmp_path, name, tape):
     path = tmp_path / f"{name}.csv"
@@ -457,6 +471,13 @@ class TestOutputBytes:
             assert shapes == [("corr_rU", False), ("corr_rp", True)] * 51
 
 
+# sweeps of 2000-tick tapes over more than one kernel block
+STATS_SWEEP = ["stats", "--window", "20", "--start", "1", "--lag", "1", "--order", "4",
+               "--stride", "1"]
+ACORR_SWEEP = ["acorr", "--window", "20", "--start", "1700", "--lag", "1", "--lag2", "2",
+               "--max-shift", "1600"]
+
+
 class TestStreamedOutput:
     """CSV reports stream to --out as they are formatted: every check runs
     before the file is opened, standard output takes the same bytes as a
@@ -482,16 +503,16 @@ class TestStreamedOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["stats", "--window", "20", "--start", "1", "--lag", "1", "--order", "4",
-         "--stride", "1"],
-        ["acorr", "--window", "20", "--start", "1700", "--lag", "1", "--lag2", "2",
-         "--max-shift", "1600"],
+        [*STATS_SWEEP, "--format", "csv"],
+        [*ACORR_SWEEP, "--format", "csv"],
+        [*STATS_SWEEP, "--format", "json"],
+        [*ACORR_SWEEP, "--format", "json"],
     ])
     def test_standard_output_takes_the_file_bytes(self, capsys, tmp_path, argv):
         # more than one kernel block, and many writer runs
         path = _tape_file(tmp_path, "walk", generate(self.WALK))
-        argv = [argv[0], str(path), *argv[1:], "--format", "csv"]
-        out = tmp_path / "report.csv"
+        argv = [argv[0], str(path), *argv[1:]]
+        out = tmp_path / "report.txt"
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         want = out.read_bytes()
         assert want.count(b"\n") > BLOCK_ELEMENTS // 20

@@ -56,7 +56,7 @@ def test_outputs_match_recorded_digests(tmp_path, name):
     for fname, data in workload.inputs.items():
         (tmp_path / fname).write_bytes(data)
 
-    env = {k: v for k, v in os.environ.items() if k != "VAWAR_THREADS"}
+    env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join([str(Path(vawar.__file__).parents[1]),
                                          env.get("PYTHONPATH", "")])

@@ -414,8 +414,9 @@ class TestMomentReports:
         blocks = list(moments.moment_blocks(tape, WindowSpec(2, 12), 2, 5, stride=1))
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= rows and len(blocks) > 2
-        table = moments.moment_table(tape, WindowSpec(2, 12), 2, 5, stride=1)
-        assert np.concatenate(blocks).tobytes() == table.tobytes()
+        reports = moment_reports(tape, WindowSpec(2, 12), 2, 5, stride=1)
+        rows = np.array([r.csv_row() for r in reports], dtype=np.float64)
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
 
     def test_blocks_check_before_they_return(self, tape_a):
         # nothing is taken from the iterators: the checks run at the call
@@ -423,6 +424,14 @@ class TestMomentReports:
             moments.moment_blocks(tape_a, WindowSpec(0, 3), 1)
         with pytest.warns(OrderExceedsWindow):
             moments.moment_blocks(tape_a, WindowSpec(1, 3), 1, 4)
+
+    @pytest.mark.parametrize("sweep", [moment_reports, moments.moment_blocks])
+    def test_order_warnings_name_the_caller(self, tape_a, sweep):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(tape_a, WindowSpec(1, 3), 1, 9, stride=1)
+        assert [w.category for w in caught] == [OrderTooLarge, OrderExceedsWindow]
+        assert {w.filename for w in caught} == {__file__}
 
     def test_default_block_sweep_ends_in_partial_block(self):
         tape = generate(HOSTILE["decades"])
@@ -435,22 +444,26 @@ class TestMomentReports:
         for rep in reports[per_block - 2:per_block + 2] + reports[-2:]:
             assert rep == _single_order_report(tape, rep.window_start, count, 1, 2)
 
-    def test_table_is_filled_a_block_at_a_time(self):
-        # a 200k-tick sweep holds its table and a few blocks' series and
-        # moments, never the moments of every window and a copy of them
+    def test_sweep_holds_a_few_blocks(self):
+        # a 200k-tick sweep holds a few blocks' series and moments at a
+        # time, however many windows it has: never its table
         tape = generate(GenConfig.from_json({
             "ticks": 200_000, "seed": 5,
             "price": {"model": "walk", "start": 100.0, "log_vol": 0.025},
             "volume": {"model": "heavy_tail", "base": 50.0, "shape": 2.5}}))
         block = 4 * moments.BLOCK_ELEMENTS * 8  # a block's four float64 tape series
+        windows = len(range(10, len(tape) - 30 + 1, 7))
         tracemalloc.start()
         try:
-            table = moments.moment_table(tape, WindowSpec(10, 30), 1, 8, stride=7)
+            taken = 0
+            for rows in moments.moment_blocks(tape, WindowSpec(10, 30), 1, 8, stride=7):
+                assert rows.shape[1] == 4 + 6 * 8 + 6
+                taken += len(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.shape == (len(range(10, len(tape) - 30 + 1, 7)), 4 + 6 * 8 + 6)
-        assert peak <= table.nbytes + 10 * block, (peak - table.nbytes) / block
+        assert taken == windows
+        assert peak <= 10 * block < windows * (4 + 6 * 8 + 6) * 8, peak / block
 
     def test_stride_zero_is_the_window_alone(self):
         tape = generate(HOSTILE["decades"])
