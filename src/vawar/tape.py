@@ -47,14 +47,15 @@ A command holds a tape's four float64 arrays about once, plus a block of
 working memory.  The tape checks its arrays ``_CHECK_BLOCK`` ticks at a
 time: one pass over the tape with the tick rules, then one for the
 spacing, each block of gaps reaching the first tick of the next block.
-:func:`ingest` keeps each column's parsed blocks in a list of its own and
-joins one column at a time, dropping that column's blocks.  The arrays that
-vawar makes itself (ingest's columns, the times and values that
-``from_arrays`` derives, ``synth.generate``'s series) reach the tape
-through ``TradeTape._own``, which keeps them without a copy; the public
-constructor and ``from_arrays`` copy the caller's arrays.
+:func:`ingest` appends each parsed block to one growing ``array("d")``
+per column and views those buffers as the tape's arrays; a viewed buffer
+can no longer grow.  The arrays that vawar makes itself (ingest's columns,
+the times and values that ``from_arrays`` derives, ``synth.generate``'s
+series) reach the tape through ``TradeTape._own``, which keeps them
+without a copy; the public constructor and ``from_arrays`` copy the
+caller's arrays.
 :func:`write_csv` hands the writer one block of rows at a time.  On a
-200k-tick tape (6.4 MB of arrays) ``ingest`` peaks at about 1.3 times the
+200k-tick tape (6.4 MB of arrays) ``ingest`` peaks at about 1.15 times the
 arrays and ``write_csv`` at about 0.4 MB beyond them (tracemalloc).
 """
 
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 
@@ -402,9 +404,9 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     string, into one array per column, each checked once for non-finite
     numbers; a derived value's cell is never parsed.  Only when one of
     these checks fails does :func:`_locate_fault` walk the block's rows to
-    name the first at fault.  Each column's arrays are joined after the
-    last block, one column at a time, and the tape keeps the joined
-    columns as they are.
+    name the first at fault.  Each block's numbers are appended to one
+    growing buffer per column, and the tape keeps read-only views of those
+    buffers: nothing is joined or copied after the last block.
     """
     if value_format not in (WITH_VALUE, DERIVE_VALUE):
         raise ValueError(f"unknown value_format {value_format!r}")
@@ -423,7 +425,7 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
 
     width = len(columns)
     used = 4 if value_format == WITH_VALUE else 3  # a derived value's cell is not read
-    pieces, blanks = [[] for _ in range(used)], []  # each column's blocks; the blank rows
+    fields, blanks = [array("d") for _ in range(used)], []  # each column; the blank rows
     for first_row in count(2, _BLOCK):
         block = list(map(str.strip, islice(lines, _BLOCK)))
         if not block:
@@ -443,14 +445,11 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
             _locate_fault(block, width, used, first_row)
         if not all(np.isfinite(x).all() for x in numbers):
             _locate_fault(block, width, used, first_row)
-        for column, x in zip(pieces, numbers):
-            column.append(x)
-    if not pieces[0]:
+        for column, x in zip(fields, numbers):
+            column.frombytes(x.tobytes())
+    if not fields[0]:
         raise EmptyTape("no data rows")
-    fields = []
-    for column in pieces:  # one column joined at a time, dropping its blocks
-        fields.append(np.concatenate(column))
-        column.clear()
+    fields = [np.frombuffer(column, np.float64) for column in fields]
     if used == 3:
         with np.errstate(over="ignore"):  # TradeTape names an infinite value
             fields.append(fields[1] * fields[2])

@@ -1,0 +1,71 @@
+"""Exact moments of one window, to measure how far a float path is from them.
+
+Each statistic is its defining sum in rational arithmetic
+(``fractions.Fraction``) over the tape's float64 numbers, so the only
+rounding left is the final conversion to a float:
+
+    C(n)   = (1/N) sum c_i^n
+    U(n)   = (1/N) sum U_i^n
+    p(n)   = sum p_i^n U_i^n / sum U_i^n
+    C_a(n) = (1/N) sum C_a_i^n,            C_a_i = p_{i-l} U_i
+    p_a(n) = sum p_{i-l}^n U_i^n / sum U_i^n
+    r(n)   = sum r_i^n C_a_i^n / sum C_a_i^n,  r_i = p_i / p_{i-l}
+
+with i over the window's ticks and l the return lag.  :func:`ulps` gives an
+error in units in the last place of the exact value.  Like
+``tests/oracle.py``, this module shares no code with the estimators; unlike
+it, it is not a float path, so it can say which of two paths is nearer the
+truth.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+#: MomentReport fields of the moment families, in the report's order.
+FAMILIES = ("value_moments", "volume_moments", "price_moments",
+            "adj_value_moments", "adj_price_moments", "return_moments")
+
+#: MomentReport field of each sigma -> the family it is x_2 - x_1^2 of.
+SIGMAS = {"sigma_C2": "value_moments", "sigma_Ca2": "adj_value_moments",
+          "sigma_U2": "volume_moments", "sigma_p2": "price_moments",
+          "sigma_pa2": "adj_price_moments", "sigma_r2": "return_moments"}
+
+
+def _exact(array):
+    return [Fraction(x) for x in array.tolist()]
+
+
+def exact_moments(tape, start, count, lag, order):
+    """{family: [its orders 1..order as Fractions]} of the window of
+    ``count`` ticks from tick ``start`` at return lag ``lag``."""
+    p, u, c = (_exact(x[start:start + count]) for x in (tape.prices, tape.volumes, tape.values))
+    pl = _exact(tape.prices[start - lag:start - lag + count])
+    ca = [a * b for a, b in zip(pl, u)]
+    r = [a / b for a, b in zip(p, pl)]
+    moments = {family: [] for family in FAMILIES}
+    for n in range(1, order + 1):
+        un = [x**n for x in u]
+        can = [x**n for x in ca]
+        moments["value_moments"].append(sum(x**n for x in c) / count)
+        moments["volume_moments"].append(sum(un) / count)
+        moments["price_moments"].append(sum(x**n * w for x, w in zip(p, un)) / sum(un))
+        moments["adj_value_moments"].append(sum(can) / count)
+        moments["adj_price_moments"].append(sum(x**n * w for x, w in zip(pl, un)) / sum(un))
+        moments["return_moments"].append(sum(x**n * w for x, w in zip(r, can)) / sum(can))
+    return moments
+
+
+def exact_sigmas(moments):
+    """{sigma: x_2 - x_1^2} of each family of :func:`exact_moments`."""
+    return {sigma: moments[family][1] - moments[family][0] ** 2
+            for sigma, family in SIGMAS.items()}
+
+
+def ulps(got, exact, floor):
+    """|got - exact| in ulps of the exact value, or of ``floor`` where the
+    exact value is smaller in magnitude (at or near 0, where its own ulp
+    would call any rounding of the terms a huge error)."""
+    scale = max(abs(float(exact)), floor)
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(scale)))

@@ -27,6 +27,8 @@ from vawar.moments import (
     return_series,
     return_volatility,
 )
+from exact import FAMILIES as EXACT_FAMILIES, SIGMAS as EXACT_SIGMAS, exact_moments, \
+    exact_sigmas, ulps
 from oracle import oracle
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
@@ -498,3 +500,37 @@ class TestMomentReports:
         with pytest.raises(InsufficientHistory,
                            match=r"^window starting at 1 needs 2 ticks of history$"):
             moment_report(window, 2)
+
+
+# Distance from exact (tests/exact.py) of moment_report at order 8, on a
+# walk tape and the hostile ones: windows of 40 ticks every 13, and longer
+# and shorter windows at other lags; the whale trades at tick 80.
+EXACT_TAPES = {
+    "walk": GenConfig(ticks=160, seed=4, price=WalkPrice(start=100.0, log_vol=0.02),
+                      volume=HeavyTailVolume(base=50.0, shape=2.5)),
+    **HOSTILE,
+}
+EXACT_WINDOWS = ([(start, 40, 3) for start in range(3, 121, 13)]
+                 + [(41, 80, 1), (9, 151, 9), (120, 8, 2), (1, 159, 1)])
+# The largest errors the kernel makes today, in ulps of the exact value for
+# the moment families and in ulps of the order-2 moment each sigma is
+# differenced from; a new path must be no farther from exact.
+MAX_ULPS = {"walk": (9.39, 4.38), "whale": (7.05, 6.65), "decades": (11.16, 5.74)}
+
+
+@pytest.mark.parametrize("name", sorted(MAX_ULPS))
+def test_order_8_is_as_near_exact_as_measured(name):
+    tape = generate(EXACT_TAPES[name])
+    moment_error = sigma_error = 0.0
+    for start, count, lag in EXACT_WINDOWS:
+        rep = moment_report(resolve(tape, WindowSpec(start, count), LagSpec(lag)), lag, 8)
+        exact = exact_moments(tape, start, count, lag, 8)
+        for family in EXACT_FAMILIES:
+            for got, x in zip(getattr(rep, family), exact[family]):
+                moment_error = max(moment_error, ulps(got, x, 0.0))
+        for sigma, x in exact_sigmas(exact).items():
+            anchor = abs(float(exact[EXACT_SIGMAS[sigma]][1]))
+            sigma_error = max(sigma_error, ulps(getattr(rep, sigma), x, anchor))
+    moment_bound, sigma_bound = MAX_ULPS[name]
+    assert moment_error <= moment_bound and sigma_error <= sigma_bound, \
+        (moment_error, sigma_error)

@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,16 @@ class TestIngest:
         tape = ingest(io.StringIO(FIXTURE_CSV), DERIVE_VALUE, epsilon=1.0)
         assert len(tape) == 4
 
+    def test_ingested_arrays_cannot_change(self):
+        tape = ingest(FIXTURE_CSV, DERIVE_VALUE)
+        for field in FIELDS:
+            with pytest.raises(ValueError):
+                getattr(tape, field)[0] = 99.0
+        # the buffer a parsed column grew in is viewed, so it cannot grow
+        with pytest.raises(BufferError):
+            tape.prices.base.obj.append(1.0)
+        assert tape.prices.tolist() == [2.0, 2.0, 4.0, 2.0]
+
     def test_roundtrip_bit_for_bit(self):
         rng = np.random.default_rng(42)
         prices = np.exp(rng.normal(0, 0.3, 50)) * 37.1234567890123
@@ -217,9 +231,9 @@ class TestIngest:
 
 def test_open_file_peak_is_a_few_times_the_tape(tmp_path):
     # Read from an open file a block of lines at a time, a 50k-tick tape
-    # peaks at the parsed numbers, their concatenation and the tape's own
-    # copies, never at its text or a list of its lines (about 7 times the
-    # tape's arrays when they were held).
+    # peaks at the column buffers the parsed numbers grow in, never at its
+    # text or a list of its lines (about 7 times the tape's arrays when
+    # they were held).
     rng = np.random.default_rng(11)
     n = 50_000
     original = TradeTape.from_arrays(np.exp(np.cumsum(rng.normal(0, 1e-3, n))) * 37.5,
@@ -260,6 +274,41 @@ def _nbytes(tape):
     return sum(getattr(tape, field).nbytes for field in FIELDS)
 
 
+def _ingest_file(path, value_format):
+    with open(path, encoding="utf-8") as fh:
+        return ingest(fh, value_format)
+
+
+# Runs `vawar` with its arguments, if any, after importing what `validate`
+# runs, and prints the process's resident peak since exec in kB.
+_PEAK_CHILD = """\
+import sys
+import numpy, vawar.cli, vawar.tape
+if sys.argv[1:]:
+    assert not vawar.cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:")))
+"""
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as fh:
+            return any(ln.startswith("VmHWM:") for ln in fh)
+    except OSError:
+        return False
+
+
+def _vmhwm(*argv):
+    # the VmHWM, in bytes, of a fresh interpreter running _PEAK_CHILD
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(vawar.tape.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return int(done.stdout.split()[-1]) * 1024
+
+
 @pytest.fixture(scope="module")
 def big_tape():
     return generate(GenConfig.from_json(BIG_CONFIG))
@@ -283,13 +332,22 @@ class TestHeldOnce:
 
     @pytest.mark.parametrize("value_format", [WITH_VALUE, DERIVE_VALUE])
     def test_ingest(self, big_tape, big_csv, value_format):
-        def read():
-            with open(big_csv, encoding="utf-8") as fh:
-                return ingest(fh, value_format)
-
-        tape, peak = _traced_peak(read)
+        tape, peak = _traced_peak(lambda: _ingest_file(big_csv, value_format))
         assert len(tape) == len(big_tape)
         assert peak <= 1.5 * _nbytes(tape), (peak, _nbytes(tape))
+
+    def test_ingest_views_its_column_buffers(self, big_csv):
+        # each column grows in one buffer that the tape views: nothing is
+        # joined or copied after the last block
+        tape, peak = _traced_peak(lambda: _ingest_file(big_csv, WITH_VALUE))
+        assert peak <= 1.2 * _nbytes(tape), (peak, _nbytes(tape))
+
+    @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+    def test_validate_peak_rss_is_about_the_tape(self, big_tape, big_csv, tmp_path):
+        # the resident peak of `vawar validate` beyond a process that only
+        # imports what it runs: the tape's columns and a block of lines
+        gap = _vmhwm("validate", str(big_csv), "--out", str(tmp_path / "v.json")) - _vmhwm()
+        assert gap <= 1.5 * _nbytes(big_tape), (gap, _nbytes(big_tape))
 
     def test_write_csv(self, big_tape, tmp_path):
         # the tape is held already: the writer adds one block of rows and text
