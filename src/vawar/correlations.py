@@ -22,15 +22,16 @@ are frequency-based, even when both appear in one formula.
 One pair kernel computes the estimators for a block of pairs that share
 window1: window1's series cache (``moments._Series``, one row, built once
 per sweep) against the cache of a block of window2s, one row per shift,
-cut from the tape by ``_Series.blocks``.  Every window2 mean,
-cross expectation (``_Pairs.cross``) and moment is one reduction over the
-last axis of the block, and each estimator's forms are array expressions
-over the block in their formulas' order.  A sweep over shifts
-(:func:`pair_sweep`) is therefore bit-identical to its pairs computed one
-at a time, and the one-pair estimators are the kernel on a block of one
-(``PairedWindows.units``); the one-window estimators pair the window with
-itself through :func:`pair_windows`.  Within a block each cross
-expectation is evaluated once, however many estimators read it.
+cut from the tape by ``_Series.blocks``.  Every window2 mean, moment and
+cross expectation (``_Series.cross``, kept on the block's cache) is one
+reduction over the last axis of the block; each estimator reads only
+those, and its forms are array expressions over the block in their
+formulas' order.  A sweep over shifts (:func:`pair_sweep`) is therefore
+bit-identical to its pairs computed one at a time, and the one-pair
+estimators are the kernel on a block of one (``PairedWindows.units``,
+the two windows' caches); the one-window estimators pair the window's
+caches at its two lags.  Within a block each cross expectation is
+evaluated once, however many estimators read it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _pow, _power, _quiet, _Series, _sigmas, check_order
+from .moments import DEFAULT_ORDER_CAP, _quiet, _Series, _sigmas, check_order
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, integral, resolve
 
 VALUE_VALUE = "value_value"
@@ -69,42 +70,12 @@ CORR_RU = "corr_rU"
 CORR_RP = "corr_rp"
 
 
-@_quiet
-def _cross(kind, x1: _Series, x2: _Series, n, m):
-    # paired_expectation of window1's cache x1 with each window of the block
-    # cache x2, degrees unchecked: an array, one entry per window of x2
-    leg1, leg2 = kind.split("_")
-    ([s1], a), (s2, b) = getattr(x1, leg1), getattr(x2, leg2)
-    if kind in MARKET_KINDS:
-        un, su = x2.paired_weights(x1, n, m)  # shared by the block's market kinds
-        e = np.sum(_pow(a, n) * _pow(b, m) * un, axis=-1) / su
-    else:
-        e = np.mean(_pow(a, n) * _pow(b, m), axis=-1)
-    return _power(s1, n) * np.array([_power(s, m) for s in s2]) * e
-
-
 def _forms(result, reads, *forms):
     # result(*forms) of each pair of the block, every form NaN where a moment
     # or cross expectation it reads is not finite: a ratio over an
     # overflowed one would read as 0 or as a plausible finite number
     ok = np.isfinite(np.broadcast_arrays(*reads)).all(axis=0)
     return list(map(result, *(np.where(ok, f, math.nan).tolist() for f in forms)))
-
-
-class _Pairs:
-    """Window1's series cache ``x1`` paired with each window of a block
-    cache ``x2``."""
-
-    def __init__(self, x1: _Series, x2: _Series):
-        self.x1, self.x2, self._crosses = x1, x2, {}
-
-    def cross(self, kind, n=1, m=1):
-        """The block's cross expectations of one kind and degrees, evaluated
-        on first use: an array, one entry per window of the block."""
-        key = kind, n, m
-        if key not in self._crosses:
-            self._crosses[key] = _cross(kind, self.x1, self.x2, n, m)
-        return self._crosses[key]
 
 
 @dataclass(frozen=True)
@@ -144,7 +115,7 @@ class PairedWindows:
     def units(self):
         """The pair as the kernel's block of one: window1's series cache
         and window2's."""
-        return _Pairs(_Series.of(self.window1), _Series.of(self.window2))
+        return _Series.of(self.window1), _Series.of(self.window2)
 
 
 def pair_windows(
@@ -182,7 +153,8 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
     n, m = degrees
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
-    return pair.units.cross(kind, n, m).item()
+    x1, x2 = pair.units
+    return x2.cross(kind, x1, n, m).item()
 
 
 @dataclass(frozen=True)
@@ -199,11 +171,12 @@ class ReturnAutocorr:
 
 
 @_quiet
-def _autocorr(x: _Pairs):
-    # return_autocorr of each pair of the block
+def _autocorr(x1: _Series, x2: _Series):
+    # return_autocorr of window1's cache x1 paired with each window of the
+    # block cache x2
     (c1, (ca1, pa1), p1), (c2, (ca2, pa2), p2) = (
-        (y.value_moment(1), y.adjusted_moments(1), y.price_moment(1)) for y in (x.x1, x.x2))
-    cross_c, cross_ca, cross_p, cross_pa = (x.cross(kind) for kind in (
+        (y.value_moment(1), y.adjusted_moments(1), y.price_moment(1)) for y in (x1, x2))
+    cross_c, cross_ca, cross_p, cross_pa = (x2.cross(kind, x1) for kind in (
         VALUE_VALUE, ADJVALUE_ADJVALUE, PRICE_PRICE, ADJPRICE_ADJPRICE))
     r1, r2 = c1 / ca1, c2 / ca2
     corr_c = cross_c - c1 * c2
@@ -228,7 +201,7 @@ def return_autocorr(pair: PairedWindows) -> ReturnAutocorr:
     corr_p and corr_pa.  All three agree in exact arithmetic; for a
     self-pair the result reduces to sigma_r^2(t, tau).
     """
-    return _autocorr(pair.units)[0]
+    return _autocorr(*pair.units)[0]
 
 
 @dataclass(frozen=True)
@@ -250,10 +223,10 @@ def same_day_two_lag_autocorr(window: ResolvedWindow, lag1, lag2) -> TwoLagAutoc
     ``residual`` is exact - approximation, the part attributable to
     correlated adjusted values.
     """
-    x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag1, lag2).units
-    cross_c, cross_ca = x.cross(VALUE_VALUE), x.cross(ADJVALUE_ADJVALUE)
-    c1 = x.x1.value_moment(1)
-    (ca1, _), (ca2, _) = x.x1.adjusted_moments(1), x.x2.adjusted_moments(1)
+    x1, x2 = _Series.of(window, lag1), _Series.of(window, lag2)
+    cross_c, cross_ca = x2.cross(VALUE_VALUE, x1), x2.cross(ADJVALUE_ADJVALUE, x1)
+    c1 = x1.value_moment(1)
+    (ca1, _), (ca2, _) = x1.adjusted_moments(1), x2.adjusted_moments(1)
     sigma_c2 = cross_c - c1 * c1
     corr_ca = cross_ca - ca1 * ca2
     r1 = c1 / ca1
@@ -279,10 +252,10 @@ class ReturnVolumeCorr:
 
 
 @_quiet
-def _volume_corr(x: _Pairs):
-    # return_volume_corr of each pair of the block
-    c1, u1, (ca1, pa1) = x.x1.value_moment(1), x.x1.volume_moment(1), x.x1.adjusted_moments(1)
-    cu, u2 = x.cross(VALUE_VOLUME), x.x2.volume_moment(1)
+def _volume_corr(x1: _Series, x2: _Series):
+    # return_volume_corr of x1 paired with each window of x2
+    c1, u1, (ca1, pa1) = x1.value_moment(1), x1.volume_moment(1), x1.adjusted_moments(1)
+    cu, u2 = x2.cross(VALUE_VOLUME, x1), x2.volume_moment(1)
     r1 = c1 / ca1
     corr_cu = cu - c1 * u2
     return _forms(ReturnVolumeCorr, (c1, u1, ca1, pa1, cu, u2),
@@ -296,7 +269,7 @@ def return_volume_corr(pair: PairedWindows) -> ReturnVolumeCorr:
     corr_CU(t | t2) / Ca(t,tau;1), equal to corr_CU / [pa(t,tau;1)
     U(t;1)].  Only window1's lag enters.
     """
-    return _volume_corr(pair.units)[0]
+    return _volume_corr(*pair.units)[0]
 
 
 @dataclass(frozen=True)
@@ -315,11 +288,11 @@ class ReturnPriceCorr:
 
 
 @_quiet
-def _price_corr(x: _Pairs, n, m):
-    # return_price_corr of each pair of the block, degrees unchecked
-    c_n, (ca_n, _) = x.x1.value_moment(n), x.x1.adjusted_moments(n)
-    cnm, cau = x.cross(VALUE_VALUE, n, m), x.cross(ADJVALUE_VOLUME, n, m)
-    c_m, u_m = x.x2.value_moment(m), x.x2.volume_moment(m)
+def _price_corr(x1: _Series, x2: _Series, n, m):
+    # return_price_corr of x1 paired with each window of x2, degrees unchecked
+    c_n, (ca_n, _) = x1.value_moment(n), x1.adjusted_moments(n)
+    cnm, cau = x2.cross(VALUE_VALUE, x1, n, m), x2.cross(ADJVALUE_VOLUME, x1, n, m)
+    c_m, u_m = x2.value_moment(m), x2.volume_moment(m)
     r_n = c_n / ca_n
     p_m = c_m / u_m
     corr_c = cnm - c_n * c_m
@@ -341,7 +314,7 @@ def return_price_corr(pair: PairedWindows, n=1, m=1,
     """
     n = check_order(n, count=pair.count, order_cap=order_cap)
     m = check_order(m, count=pair.count, order_cap=order_cap)
-    return _price_corr(pair.units, n, m)[0]
+    return _price_corr(*pair.units, n, m)[0]
 
 
 def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats, degrees):
@@ -377,7 +350,7 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
         n = check_order(n, count=window.count)
         m = check_order(m, count=window.count)
     estimate = {CORR_R: _autocorr, CORR_RU: _volume_corr,
-                CORR_RP: lambda x: _price_corr(x, n, m)}
+                CORR_RP: lambda x1, x2: _price_corr(x1, x2, n, m)}
     starts = window.start - np.arange(max_shift + 1)
     blocks = _Series.blocks(tape, starts, window.count, lag2)
     return _sweep(_Series.of(w1), blocks, [estimate[s] for s in stats])
@@ -388,8 +361,7 @@ def _sweep(x1, blocks, estimators):
     # while the next is cut, as in moments._row_blocks: a block freed
     # before the next is cut is returned to the system and faulted back in.
     for x2 in blocks:
-        pairs = _Pairs(x1, x2)
-        yield from zip(*(estimate(pairs) for estimate in estimators))
+        yield from zip(*(estimate(x1, x2) for estimate in estimators))
 
 
 @dataclass(frozen=True)
@@ -404,6 +376,7 @@ class AdjPriceVolumeSqCorr:
         return self.direct
 
 
+@_quiet
 def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCorr:
     """corr(p(t_i - tau), U^2(t_i)) over one window.
 
@@ -411,14 +384,14 @@ def adjprice_volume_sq_corr(window: ResolvedWindow, lag_l) -> AdjPriceVolumeSqCo
     route: corr_CaU(t,tau | t) - pa(t,tau;1) sigma_U^2(t).  Equal in
     exact arithmetic.
     """
-    x = pair_windows(window.tape, WindowSpec(window.start, window.count), lag_l).units
-    [cau] = x.cross(ADJVALUE_VOLUME).tolist()
-    [(_, (u1, u2), _, (ca1, _), (pa1, _), _)] = x.x1.moments(2).tolist()
-    direct = cau - pa1 * u2
+    x = _Series.of(window, lag_l)
+    cau = x.cross(ADJVALUE_VOLUME, x)
+    # the window's order-1 and order-2 moments, each an array of one entry
+    _, (u1, u2), _, (ca1, _), (pa1, _), _ = x.moments(2).transpose(1, 2, 0)
     corr_cau = cau - ca1 * u1
     sigma_u2 = u2 - u1 * u1
-    identity_form = corr_cau - pa1 * sigma_u2
-    return AdjPriceVolumeSqCorr(direct=direct, identity_form=identity_form)
+    return _forms(AdjPriceVolumeSqCorr, (cau, pa1, u2, ca1, u1),
+                  cau - pa1 * u2, corr_cau - pa1 * sigma_u2)[0]
 
 
 @dataclass(frozen=True)
@@ -481,15 +454,15 @@ def _corr(cross, a, b):
 def correlation_report(pair: PairedWindows) -> CorrelationReport:
     """Assemble every cross expectation and correlation of the pair."""
     w1, w2 = pair.window1, pair.window2
-    x = pair.units
-    cross_c, cross_ca, cross_u, cross_p, cross_pa, cau = (x.cross(kind) for kind in (
+    x1, x2 = pair.units
+    cross_c, cross_ca, cross_u, cross_p, cross_pa, cau = (x2.cross(kind, x1) for kind in (
         VALUE_VALUE, ADJVALUE_ADJVALUE, VOLUME_VOLUME, PRICE_PRICE, ADJPRICE_ADJPRICE,
         ADJVALUE_VOLUME))
     # each window's order-1 and order-2 moment tuples (C, U, p, C_a, p_a, r)
-    m = np.concatenate([y.moments(2) for y in (x.x1, x.x2)])
+    m = np.concatenate([y.moments(2) for y in (x1, x2)])
     (c1, u1, p1, ca1, pa1, _), (c2, u2, p2, ca2, pa2, _) = m[..., 0].tolist()
     # the estimators read the cross expectations above from the same pair
-    [ac], [ru], [rp] = _autocorr(x), _volume_corr(x), _price_corr(x, 1, 1)
+    [ac], [ru], [rp] = _autocorr(x1, x2), _volume_corr(x1, x2), _price_corr(x1, x2, 1, 1)
     corrs = dict(zip(_NORMALIZED, (
         _corr(cross_c, c1, c2), _corr(cross_ca, ca1, ca2), _corr(cross_u, u1, u2),
         _corr(cross_p, p1, p2), _corr(cross_pa, pa1, pa2), ac.definitional)))

@@ -26,10 +26,12 @@ scale-invariance properties in the tests) and prevents overflow at high
 orders or for extreme trade sizes.  A moment that overflows all the same
 (a scale near 1e154 at order 2) is inf, never an error or a numpy warning.
 
-One series cache computes every moment: ``_Series`` holds the tape
-series of a block of windows, one window per row (a single window is a
-block of one), at one return lag, each divided by its window mean on
-first use.  Each moment is one reduction over the last axis, and each
+One series cache computes every moment and every cross expectation:
+``_Series`` holds the tape series of a block of windows, one window per
+row (a single window is a block of one), at one return lag, each divided
+by its window mean on first use.  Each moment is one reduction over the
+last axis, and so is each cross expectation of one window's cache with
+the block's (``_Series.cross``, which ``correlations`` reads); each
 window's scales are restored with Python ``float ** int``, so a sweep is
 byte-identical to its windows computed one at a time.  ``_Series.blocks``
 cuts every sweep's windows from the tape, one contiguous row each: the
@@ -179,7 +181,7 @@ class _Series:
         self.p, self.u, self.c, self.pl = p, u, c, pl
         self._powers = {}
         self._vwap_powers = {}
-        self._paired = {}
+        self._crosses = {}
 
     @classmethod
     def of(cls, window: ResolvedWindow, lag_l=None):
@@ -226,15 +228,37 @@ class _Series:
             self._powers[n] = un, np.sum(un, axis=-1)
         return self._powers[n]
 
-    def paired_weights(self, other, n, m):
-        """The weights (U1/U1bar)^n (U/Ubar)^m of the market cross
-        expectations of the one window of ``other`` paired with each window
-        of this block, and their sums, kept per (other, n, m)."""
-        key = other, n, m
-        if key not in self._paired:
+    def cross(self, kind, other, n=1, m=1):
+        """The cross expectations of one kind at degrees (n, m) of the one
+        window of ``other`` paired elementwise with each window of this
+        block, evaluated on first use and kept per (kind, other, n, m): an
+        array, one entry per window of this block.
+
+        A kind names the two series, ``other``'s first: the frequency kinds
+        are (1/N) sum a^n b^m, and the price kinds ``price_price`` and
+        ``adjprice_adjprice`` weight each product by U1^n U^m,
+        sum a^n b^m U1^n U^m / sum U1^n U^m.
+        """
+        key = kind, other, n, m
+        if key not in self._crosses:
+            self._crosses[key] = self._cross(*key)
+        return self._crosses[key]
+
+    @_quiet
+    def _cross(self, kind, other, n, m):
+        # cross, evaluated.  Kind "weights" is the price kinds' shared
+        # weights (U1/U1bar)^n (U/Ubar)^m and their sums.
+        if kind == "weights":
             w = _pow(other.volume[1], n) * _pow(self.volume[1], m)
-            self._paired[key] = w, np.sum(w, axis=-1)
-        return self._paired[key]
+            return w, np.sum(w, axis=-1)
+        leg1, leg2 = kind.split("_")
+        ([s1], a), (s2, b) = getattr(other, leg1), getattr(self, leg2)
+        if leg2.endswith("price"):
+            w, sw = self.cross("weights", other, n, m)
+            e = np.sum(_pow(a, n) * _pow(b, m) * w, axis=-1) / sw
+        else:
+            e = np.mean(_pow(a, n) * _pow(b, m), axis=-1)
+        return _power(s1, n) * _restored(s2, m) * e
 
     def vwap_power(self, n):
         # VWAP^n of each window, kept per order

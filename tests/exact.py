@@ -1,4 +1,5 @@
-"""Exact moments of one window, to measure how far a float path is from them.
+"""Exact moments of one window and cross expectations of two, to measure how
+far a float path is from them.
 
 Each statistic is its defining sum in rational arithmetic
 (``fractions.Fraction``) over the tape's float64 numbers, so the only
@@ -11,7 +12,13 @@ rounding left is the final conversion to a float:
     p_a(n) = sum p_{i-l}^n U_i^n / sum U_i^n
     r(n)   = sum r_i^n C_a_i^n / sum C_a_i^n,  r_i = p_i / p_{i-l}
 
-with i over the window's ticks and l the return lag.  :func:`ulps` gives an
+with i over the window's ticks and l the return lag.  The cross
+expectations of two windows of N ticks, paired elementwise, are
+
+    (1/N) sum a_i^n b_{i,2}^m                                  (frequency kinds)
+    sum a_i^n b_{i,2}^m U_i^n U_{i,2}^m / sum U_i^n U_{i,2}^m  (price kinds)
+
+with a the first window's series and b the second's.  :func:`ulps` gives an
 error in units in the last place of the exact value.  Like
 ``tests/oracle.py``, this module shares no code with the estimators; unlike
 it, it is not a float path, so it can say which of two paths is nearer the
@@ -33,16 +40,30 @@ SIGMAS = {"sigma_C2": "value_moments", "sigma_Ca2": "adj_value_moments",
           "sigma_pa2": "adj_price_moments", "sigma_r2": "return_moments"}
 
 
+#: The cross-expectation kinds: the first window's series, then the
+#: second's; the price kinds are volume-weighted.
+CROSS_KINDS = ("value_value", "adjvalue_adjvalue", "volume_volume", "price_price",
+               "adjprice_adjprice", "value_volume", "adjvalue_volume")
+
+
 def _exact(array):
     return [Fraction(x) for x in array.tolist()]
+
+
+def _series(tape, start, count, lag):
+    # {series: its Fractions} of the window of count ticks from tick start at
+    # return lag lag
+    p, u, c = (_exact(x[start:start + count]) for x in (tape.prices, tape.volumes, tape.values))
+    pl = _exact(tape.prices[start - lag:start - lag + count])
+    return {"price": p, "volume": u, "value": c, "adjprice": pl,
+            "adjvalue": [a * b for a, b in zip(pl, u)]}
 
 
 def exact_moments(tape, start, count, lag, order):
     """{family: [its orders 1..order as Fractions]} of the window of
     ``count`` ticks from tick ``start`` at return lag ``lag``."""
-    p, u, c = (_exact(x[start:start + count]) for x in (tape.prices, tape.volumes, tape.values))
-    pl = _exact(tape.prices[start - lag:start - lag + count])
-    ca = [a * b for a, b in zip(pl, u)]
+    x = _series(tape, start, count, lag)
+    p, u, c, pl, ca = x["price"], x["volume"], x["value"], x["adjprice"], x["adjvalue"]
     r = [a / b for a, b in zip(p, pl)]
     moments = {family: [] for family in FAMILIES}
     for n in range(1, order + 1):
@@ -55,6 +76,22 @@ def exact_moments(tape, start, count, lag, order):
         moments["adj_price_moments"].append(sum(x**n * w for x, w in zip(pl, un)) / sum(un))
         moments["return_moments"].append(sum(x**n * w for x, w in zip(r, can)) / sum(can))
     return moments
+
+
+def exact_crosses(tape, count, window1, window2, degrees):
+    """{(kind, n, m): Fraction} of every kind of ``CROSS_KINDS`` at each
+    (n, m) of ``degrees``, for two windows of ``count`` ticks, each given as
+    (start tick, return lag), paired elementwise."""
+    x1, x2 = (_series(tape, start, count, lag) for start, lag in (window1, window2))
+    crosses = {}
+    for n, m in degrees:
+        w = [a**n * b**m for a, b in zip(x1["volume"], x2["volume"])]
+        for kind in CROSS_KINDS:
+            leg1, leg2 = kind.split("_")
+            terms = [a**n * b**m for a, b in zip(x1[leg1], x2[leg2])]
+            crosses[kind, n, m] = (sum(t * v for t, v in zip(terms, w)) / sum(w)
+                                   if leg2.endswith("price") else sum(terms) / count)
+    return crosses
 
 
 def exact_sigmas(moments):

@@ -497,6 +497,16 @@ class TestAdjPriceVolumeSq:
         assert_close(res.direct, res.identity_form, 1e-10, abs_floor=floor,
                      msg="direct vs identity")
 
+    def test_overflowed_moment_is_nan_in_both_forms(self):
+        # volumes near 1e155 overflow U(t;2); the direct route would read
+        # cau - pa1 * inf = -inf, a number where there is none
+        rng = np.random.default_rng(1)
+        prices = 1e-10 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 40)))
+        tape = TradeTape.from_arrays(prices, 1e155 * (1.0 + rng.random(40)))
+        window = resolve(tape, WindowSpec(5, 20), LagSpec(1))
+        res = adjprice_volume_sq_corr(window, 1)
+        assert math.isnan(res.direct) and math.isnan(res.identity_form)
+
 
 class TestCorrelationReport:
     def test_every_corr_is_cross_minus_product(self):

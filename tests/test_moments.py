@@ -27,9 +27,10 @@ from vawar.moments import (
     return_series,
     return_volatility,
 )
-from exact import FAMILIES as EXACT_FAMILIES, SIGMAS as EXACT_SIGMAS, exact_moments, \
-    exact_sigmas, ulps
+from exact import FAMILIES as EXACT_FAMILIES, SIGMAS as EXACT_SIGMAS, exact_crosses, \
+    exact_moments, exact_sigmas, ulps
 from oracle import oracle
+from vawar.correlations import pair_windows, paired_expectation
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
@@ -534,3 +535,27 @@ def test_order_8_is_as_near_exact_as_measured(name):
     moment_bound, sigma_bound = MAX_ULPS[name]
     assert moment_error <= moment_bound and sigma_error <= sigma_bound, \
         (moment_error, sigma_error)
+
+
+# Distance from exact of paired_expectation, every kind at four degrees, on
+# the same tapes: (start, count, lag1, lag2, shift_j) of pairs at shifts 0
+# to 150, with two different lags but in the self pair; on the whale tape
+# one window or both hold the whale.
+EXACT_PAIRS = [(41, 80, 1, 1, 0), (100, 40, 3, 2, 7), (120, 40, 1, 4, 60),
+               (80, 40, 2, 9, 35), (152, 8, 5, 1, 150)]
+EXACT_DEGREES = [(1, 1), (2, 1), (1, 3), (4, 4)]
+# The largest errors today, in ulps of the exact value (every term is
+# positive, so no floor); a new path must be no farther from exact.
+MAX_CROSS_ULPS = {"walk": 4.56, "whale": 5.40, "decades": 5.98}
+
+
+@pytest.mark.parametrize("name", sorted(MAX_CROSS_ULPS))
+def test_cross_expectations_are_as_near_exact_as_measured(name):
+    tape = generate(EXACT_TAPES[name])
+    error = 0.0
+    for start, count, lag1, lag2, j in EXACT_PAIRS:
+        pair = pair_windows(tape, WindowSpec(start, count), lag1, lag2, j)
+        exact = exact_crosses(tape, count, (start, lag1), (start - j, lag2), EXACT_DEGREES)
+        for (kind, n, m), x in exact.items():
+            error = max(error, ulps(paired_expectation(kind, pair, (n, m)), x, 0.0))
+    assert error <= MAX_CROSS_ULPS[name], error

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from vawar import correlations, moments
+from vawar import moments
 from vawar.cli import main
 from vawar.correlations import (
     CORR_R,
@@ -333,9 +333,10 @@ class TestPairSweep:
 class TestPairSweepErrors:
     @pytest.mark.parametrize("past", [1, 9])
     def test_first_infeasible_shift_names_its_window(self, past, monkeypatch):
-        # every shift is checked before any block is computed
+        # every shift is checked before any block is computed: a cross
+        # expectation evaluated before the checks raises TypeError
         tape, window = _sweep_window("walk")
-        monkeypatch.setattr(correlations, "_Pairs", None)
+        monkeypatch.setattr(moments._Series, "_cross", None)
         with pytest.raises(InsufficientHistory,
                            match=r"^window starting at 1 needs 2 ticks of history$"):
             pair_sweep(tape, window, 1, 2, window.start - 2 + past, (CORR_R,), (1, 1))
@@ -448,17 +449,47 @@ class TestMomentsOldPath:
                     pa[0] * pa[0] * pa[1])
 
 
+def _count_crosses(monkeypatch):
+    # (block cache, kind, n, m) of each evaluation of a cross expectation;
+    # kind "weights" is the price kinds' shared volume weights
+    evaluate, evaluated = moments._Series._cross, []
+
+    def counted(self, kind, other, n, m):
+        evaluated.append((self, kind, n, m))
+        return evaluate(self, kind, other, n, m)
+
+    monkeypatch.setattr(moments._Series, "_cross", counted)
+    return evaluated
+
+
 def test_report_evaluates_each_cross_expectation_once(monkeypatch):
-    evaluate, evaluated = correlations._cross, []
-
-    def counted(kind, x1, x2, n, m):
-        evaluated.append((kind, n, m))
-        return evaluate(kind, x1, x2, n, m)
-
-    monkeypatch.setattr(correlations, "_cross", counted)
+    evaluated = _count_crosses(monkeypatch)
     tape = _sweep_tape("decades")
     correlation_report(pair_windows(tape, WindowSpec(len(tape) - 40, 40), 3, 2, shift_j=7))
-    assert sorted(evaluated) == sorted((kind, 1, 1) for kind in KINDS)
+    assert sorted(e[1:] for e in evaluated) == sorted(
+        [(kind, 1, 1) for kind in KINDS] + [("weights", 1, 1)])
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("stats", [(CORR_R,), (CORR_RU, CORR_RP)], ids=["acorr", "xcorr"])
+def test_sweep_evaluates_each_cross_expectation_once_per_block(stats, degrees, monkeypatch):
+    monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 4 * SWEEP_COUNT)  # 4 shifts a block
+    evaluated = _count_crosses(monkeypatch)
+    tape, window = _sweep_window("walk")
+    n, m = degrees
+    rows = list(pair_sweep(tape, window, 3, 2, 13, stats, degrees))
+    assert len(rows) == 14
+    if stats == (CORR_R,):
+        want = [(kind, 1, 1) for kind in (
+            "value_value", "adjvalue_adjvalue", "price_price", "adjprice_adjprice", "weights")]
+    else:
+        want = [("value_volume", 1, 1), ("value_value", n, m), ("adjvalue_volume", n, m)]
+    blocks = {}
+    for block, *key in evaluated:
+        blocks.setdefault(id(block), []).append(tuple(key))
+    assert len(blocks) == 4
+    for keys in blocks.values():
+        assert sorted(keys) == sorted(want)
 
 
 def test_oracle_imports_only_errors_and_tape():
