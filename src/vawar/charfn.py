@@ -25,17 +25,21 @@ mu_m may dip negative for m > 2 (exponential-polynomial approximations
 are not densities); negative lobes are kept and reported through the
 ``negative_mass`` diagnostic, never truncated.
 
+Q_m's exponent, its Taylor form 1 + sum i^n/n! r_n x^n and the default
+damping's probe all read one power series, ``_series``.
+
 The inversion's cost is its cos/sin table of r * x: each block of it is
-filled in row slices, one per CPU the process may run on, while the
-matrix products that sum it keep their shapes, so the density's bytes do
-not depend on the number of CPUs.
+filled in row slices on a ``concurrent.futures`` thread pool, one slice
+per CPU the process may run on, while the matrix products that sum it
+keep their shapes, so the density's bytes do not depend on the number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,13 +148,19 @@ def natural_width(coefficients, damping=0.0, damping_exponent=1):
     return max(width, 1e-3)
 
 
-def _even_exponent_real(coefficients, b, q, x):
-    """Real part of the exponent of Q_m (only even terms contribute)."""
-    re = -b * x ** (2 * q)
-    for n, a_n in enumerate(coefficients, start=1):
-        if n % 2 == 0:
-            re = re + (-1.0) ** (n // 2) * (a_n / math.factorial(n)) * x**n
-    return re
+def _series(values, x, first):
+    """first + sum_n i^n/n! v_n x^n at x (scalar or array), as complex.
+
+    Each term is real and is added to the real part (even n) or to the
+    imaginary part (odd n) alone, so an x^n that overflows makes that part
+    infinite and leaves the other as it was (no 0 * inf = NaN).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full(x.shape, first, dtype=np.complex128)
+    for n, v_n in enumerate(values, start=1):
+        part = out.imag if n % 2 else out.real
+        part += (-1.0) ** (n // 2) * (v_n / math.factorial(n)) * x**n
+    return out
 
 
 def _default_damping(coefficients, q):
@@ -174,7 +184,7 @@ def _default_damping(coefficients, q):
         return 0.0
     probe = np.geomspace(1e-3 * x_ref, 1e3 * x_ref, 2048)
     for _ in range(100):
-        if float(np.max(_even_exponent_real(coefficients, b, q, probe))) <= 1.0:
+        if _series(coefficients, probe, -b * probe ** (2 * q)).real.max() <= 1.0:
             break
         b *= 4.0
     return b
@@ -210,11 +220,8 @@ def fit_charfn(moments, b=None, q=None) -> CharFnApprox:
 def _exponent(approx: CharFnApprox, x):
     """Complex exponent of Q_m at x (scalar or array)."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.zeros(x.shape, dtype=np.complex128)
-    for n, a_n in enumerate(approx.coefficients, start=1):
-        z = z + (1j**n) * (a_n / math.factorial(n)) * x**n
-    z = z - approx.damping * x ** (2 * approx.damping_exponent)
-    return z
+    damping = approx.damping * x ** (2 * approx.damping_exponent)
+    return _series(approx.coefficients, x, 0.0) - damping
 
 
 def eval_charfn(approx: CharFnApprox, x, form=EXPONENTIAL):
@@ -224,16 +231,12 @@ def eval_charfn(approx: CharFnApprox, x, form=EXPONENTIAL):
     x^n; ``exponential`` evaluates Q_m.
     """
     if form == TAYLOR:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.ones(x.shape, dtype=np.complex128)
-        for n, r_n in enumerate(approx.moments, start=1):
-            out = out + (1j**n) * (r_n / math.factorial(n)) * x**n
-        return complex(out) if out.shape == () else out
-    if form == EXPONENTIAL:
-        z = _exponent(approx, x)
-        out = np.exp(z)
-        return complex(out) if out.shape == () else out
-    raise ValueError(f"unknown characteristic-function form {form!r}")
+        out = _series(approx.moments, x, 1.0)
+    elif form == EXPONENTIAL:
+        out = np.exp(_exponent(approx, x))
+    else:
+        raise ValueError(f"unknown characteristic-function form {form!r}")
+    return complex(out) if out.shape == () else out
 
 
 def _check_integrable(approx: CharFnApprox):
@@ -351,32 +354,21 @@ def _usable_cpus():
 
 
 def _fill_trig(trig, rs, xs, out):
-    """out[i, k] = trig(rs[i] * xs[k]), by row slices in parallel threads.
+    """out[i, k] = trig(rs[i] * xs[k]), by row slices on a thread pool.
 
-    One slice per usable CPU, at most one per row; the calling thread
-    fills the first.  NumPy releases the GIL inside these ufunc loops.
-    The first exception raised in any slice is raised here, after every
-    slice has finished.
+    One slice per usable CPU, at most one per row.  NumPy releases the
+    GIL inside these ufunc loops.  The exception of the first failing
+    slice, in row order, is raised here once the pool has shut down.
     """
     workers = min(_usable_cpus(), rs.size)
     cuts = [rs.size * k // workers for k in range(workers + 1)]
-    errors = []
 
     def fill(i, j):
-        try:
-            np.multiply(rs[i:j, None], xs, out=out[i:j])
-            trig(out[i:j], out=out[i:j])
-        except Exception as exc:
-            errors.append(exc)
+        np.multiply(rs[i:j, None], xs, out=out[i:j])
+        trig(out[i:j], out=out[i:j])
 
-    threads = [threading.Thread(target=fill, args=cuts[k:k + 2]) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    fill(cuts[0], cuts[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, cuts, cuts[1:]))
 
 
 def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
@@ -391,8 +383,8 @@ def invert_density(approx: CharFnApprox, grid: GridSpec | None = None,
 
     Each block of 2**22 // (x_points / 2) grid rows is summed by one cos
     and one sin matrix-vector product.  The trig work is split over the
-    usable CPUs: each block's tables are filled in threads, one row slice
-    per CPU, and every element is computed alone, so the bytes do not
+    usable CPUs: each block's tables are filled on a thread pool, one row
+    slice per CPU, and every element is computed alone, so the bytes do not
     depend on the number of CPUs.
     """
     _check_integrable(approx)

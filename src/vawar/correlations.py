@@ -135,7 +135,9 @@ def pair_windows(
 
 def self_pair(window: ResolvedWindow, lag2=None) -> PairedWindows:
     """Pair a window with itself (lambda = 0), optionally with a second lag."""
-    return pair_windows(window.tape, WindowSpec(window.start, window.count), window.lag_l, lag2)
+    spec = WindowSpec(window.start, window.count)
+    lags = LagSpec(lag_l=window.lag_l if lag2 is None else lag2)
+    return PairedWindows(window1=window, window2=resolve(window.tape, spec, lags))
 
 
 def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
@@ -440,9 +442,9 @@ _NORMALIZED = ("corr_C", "corr_Ca", "corr_U", "corr_p", "corr_pa", "corr_r")
 @_quiet
 def _normalize(corr, var1, var2):
     # corr / sqrt(var1 var2), NaN unless var1, var2 and their product (which
-    # may underflow) are positive
+    # may underflow or overflow) are positive and finite
     v = var1 * var2
-    return np.where((var1 > 0) & (v > 0), corr / np.sqrt(v), math.nan)
+    return np.where((var1 > 0) & (v > 0) & np.isfinite(v), corr / np.sqrt(v), math.nan)
 
 
 def _corr(cross, a, b):

@@ -57,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
 from .reportio import _CHUNK, columns, pairs
-from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, resolve
+from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, require_history, resolve
 
 #: Default cap on moment orders; higher orders warn but still compute.
 DEFAULT_ORDER_CAP = 8
@@ -547,6 +547,7 @@ def moment_report(
     window: ResolvedWindow, lag_l, order_max=2, order_cap=DEFAULT_ORDER_CAP
 ) -> MomentReport:
     """Compute every order-1..order_max statistic of the window."""
-    spec = WindowSpec(window.start, window.count)
-    [report] = moment_reports(window.tape, spec, lag_l, order_max, 0, order_cap)
-    return report
+    lag_l = require_history(window, lag_l)
+    order_max = check_order(order_max, count=window.count, order_cap=order_cap)
+    [rows] = _row_blocks(window.tape, np.array([window.start]), window.count, lag_l, order_max)
+    return MomentReport.from_row(rows[0].tolist())

@@ -301,8 +301,8 @@ def weighting_contrast(tape: TradeTape, window: WindowSpec,
     are ratios of positive prices), and so is the frequency mean.
     """
     resolved = resolve(tape, window, lags)
-    returns = return_series(resolved, lags.lag_l)
+    returns = return_series(resolved, None)
     return WeightingContrast(
         freq_mean_return=freq_moment(returns, 1) if np.isfinite(returns).all() else math.inf,
-        vawar=return_moment(resolved, lags.lag_l, 1),
+        vawar=return_moment(resolved, None, 1),
     )

@@ -94,6 +94,37 @@ def exact_crosses(tape, count, window1, window2, degrees):
     return crosses
 
 
+def exact_correlations(tape, count, window1, window2, degrees):
+    """{(statistic, n, m): (value, product) as Fractions} of corr_r and
+    corr_rU at (1, 1) and of corr_rp at each (n, m) of ``degrees``, for two
+    windows given as in :func:`exact_crosses`.  Each is E[x y] - E[x] E[y],
+    its value, and ``product`` is the E[x] E[y] it subtracts:
+
+        corr_r  = C_C / C_CaCa - (C_1 / Ca_1) (C_1,2 / Ca_1,2)
+        corr_rU = C_CU / Ca_1 - (C_1 / Ca_1) U_1,2
+        corr_rp = C_C(n, m) / C_CaU(n, m) - (C_n / Ca_n) (C_m,2 / U_m,2)
+
+    with C_XY the cross expectations and ,2 the second window's moments.
+    A statistic's forms are equal in exact arithmetic where c = p U
+    exactly; on a tape whose values are rounded products, the forms that
+    read prices differ from these by that rounding."""
+    (start1, lag1), (start2, lag2) = window1, window2
+    top = max(max(d) for d in degrees)
+    m1, m2 = (exact_moments(tape, start, count, lag, top)
+              for start, lag in ((start1, lag1), (start2, lag2)))
+    crosses = exact_crosses(tape, count, window1, window2, [(1, 1), *degrees])
+    c1, ca1 = m1["value_moments"], m1["adj_value_moments"]
+    c2, ca2, u2 = m2["value_moments"], m2["adj_value_moments"], m2["volume_moments"]
+    r1 = c1[0] / ca1[0]
+    out = {("corr_r", 1, 1): (crosses["value_value", 1, 1] / crosses["adjvalue_adjvalue", 1, 1],
+                              r1 * c2[0] / ca2[0]),
+           ("corr_rU", 1, 1): (crosses["value_volume", 1, 1] / ca1[0], r1 * u2[0])}
+    for n, m in degrees:
+        out["corr_rp", n, m] = (crosses["value_value", n, m] / crosses["adjvalue_volume", n, m],
+                                c1[n - 1] / ca1[n - 1] * (c2[m - 1] / u2[m - 1]))
+    return {key: (cross - product, product) for key, (cross, product) in out.items()}
+
+
 def exact_sigmas(moments):
     """{sigma: x_2 - x_1^2} of each family of :func:`exact_moments`."""
     return {sigma: moments[family][1] - moments[family][0] ** 2

@@ -342,6 +342,31 @@ def old_invert_density(approx, grid=None, x_points=charfn.X_POINTS):
         min_density=float(np.min(density)))
 
 
+def old_default_damping(coefficients, q):
+    """charfn._default_damping as written before Q_m's power series was
+    shared: each trial b sums the exponent's even real terms onto
+    -b x^(2q) afresh."""
+    m = len(coefficients)
+    log_target = -math.log(charfn.EDGE_DECAY)
+    if m >= 2 and coefficients[1] > 0:
+        x_ref = math.sqrt(2.0 * log_target / coefficients[1])
+    else:
+        x_ref = 2.0 * log_target
+    b = abs(coefficients[-1]) / math.factorial(m) * x_ref ** (m - 2 * q)
+    if b == 0.0:
+        return 0.0
+    probe = np.geomspace(1e-3 * x_ref, 1e3 * x_ref, 2048)
+    for _ in range(100):
+        re = -b * probe ** (2 * q)
+        for n, a_n in enumerate(coefficients, start=1):
+            if n % 2 == 0:
+                re = re + (-1.0) ** (n // 2) * (a_n / math.factorial(n)) * probe**n
+        if float(np.max(re)) <= 1.0:
+            break
+        b *= 4.0
+    return b
+
+
 def old_ingest(source, value_format="derive_value", epsilon=1.0):
     """A tape read as before the bulk parse: one Python loop over the rows
     that checks, parses and collects each row's cells in turn."""

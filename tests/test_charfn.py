@@ -25,7 +25,7 @@ from vawar.errors import (
     QuadratureDivergence,
 )
 
-from helpers import old_invert_density
+from helpers import old_default_damping, old_invert_density
 
 THREE_POINT = ([0.9, 1.0, 1.25], [0.3, 0.5, 0.2])
 
@@ -353,3 +353,40 @@ class TestFitDefaults:
     def test_whole_float_damping_exponent_is_its_int(self):
         approx = CharFnApprox(2, (0.001, 0.01), 0.0, 2.0, (0.001, 0.01))
         assert approx.damping_exponent == 2 and type(approx.damping_exponent) is int
+
+    def test_default_damping_matches_the_old_path(self):
+        # Seeded coefficients a_n = s^n z_n at scales s from 1e-4 to 10;
+        # positive even terms make about a third of the fits quadruple b.
+        rng = np.random.default_rng(25)
+        damped = 0
+        for _ in range(1200):
+            order = int(rng.integers(1, 9))
+            s = 10.0 ** rng.uniform(-4, 1)
+            approx = fit_charfn(coeffs_to_moments(
+                [s**n * rng.standard_normal() for n in range(1, order + 1)]))
+            if order == 2 and approx.coefficients[1] > 0:
+                assert approx.damping == 0.0
+                continue
+            want = old_default_damping(approx.coefficients, approx.damping_exponent)
+            assert approx.damping == want, approx
+            damped += 1
+        assert damped >= 1000
+
+    @pytest.mark.parametrize("a2_exp", [-16, -40, -80, -120, -200, -250, -300])
+    @pytest.mark.parametrize("order", [3, 4, 5, 8])
+    def test_default_damping_matches_the_old_path_at_tiny_a2(self, order, a2_exp):
+        # A tiny positive a_2 pushes the probe out to x where the odd
+        # powers x^n overflow; the even-term sum must still be read.
+        rng = np.random.default_rng(order * 1000 - a2_exp)
+        a = [10.0 ** rng.uniform(-2, 12) for _ in range(order)]
+        a[1] = 10.0 ** a2_exp
+        q = charfn.default_damping_exponent(order)
+        with np.errstate(all="ignore"):
+            assert charfn._default_damping(tuple(a), q) == old_default_damping(tuple(a), q)
+
+    def test_default_damping_with_overflowing_odd_powers(self):
+        a = (1e10, 1e-200, 1e30)
+        with np.errstate(all="ignore"):
+            b = charfn._default_damping(a, 2)
+            assert b == old_default_damping(a, 2)
+        assert b < 1e-60

@@ -24,7 +24,8 @@ from vawar.correlations import (
     self_pair,
 )
 from vawar.errors import InsufficientHistory, MismatchedWindows, OrderExceedsWindow, OrderTooLarge
-from vawar.moments import adjusted_moments, freq_moment, price_moment, return_volatility
+from vawar.moments import (adjusted_moments, freq_moment, moment_report, price_moment,
+                           return_volatility)
 from oracle import oracle
 from vawar.synth import GenConfig, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
@@ -315,6 +316,25 @@ class TestUnderflowedDenominators:
         got = correlations._normalize(np.array([1e-210, 2.0]), np.array([1e-200, 4.0]),
                                       np.array([1e-200, 1.0]))
         assert np.isnan(got[0]) and got[1] == 1.0
+
+    def test_normalize_overflowed_dispersion_is_nan(self):
+        assert math.isnan(correlations._normalize(1.0, math.inf, 4.0))
+        assert math.isnan(correlations._normalize(1.0, 4.0, math.inf))
+        assert 1e200 * 1e200 == math.inf
+        assert math.isnan(correlations._normalize(1.0, 1e200, 1e200))
+
+    def test_normalized_reads_nan_where_a_dispersion_overflowed(self):
+        # a whale volume of 1e155 in window 1 makes its sigma_C2 infinite
+        # while corr_C, corr_Ca and corr_U stay finite
+        rng = np.random.default_rng(1)
+        p, u = 1 + 0.01 * rng.random(80), 1 + rng.random(80)
+        u[50] = 1e155
+        pair = pair_windows(TradeTape.from_arrays(p, u), WindowSpec(40, 20), 1, 1, 30)
+        rep = correlation_report(pair)
+        assert moment_report(pair.window1, 1, 2).sigma_C2 == math.inf
+        for name in ("corr_C", "corr_Ca", "corr_U"):
+            assert math.isfinite(getattr(rep, name)), name
+            assert math.isnan(rep.normalized[name]), name
 
 
 class TestTwoLagAutocorr:

@@ -40,7 +40,7 @@ from vawar.moments import (
     return_moment,
     return_volatility,
 )
-from vawar.synth import CyclePrice, GenConfig, WhaleVolume, generate, whale_tape
+from vawar.synth import CyclePrice, GenConfig, WhaleVolume, generate, weighting_contrast, whale_tape
 from vawar.tape import LagSpec, TradeTape, WindowSpec, integral, resolve
 
 TICKS = 40
@@ -155,6 +155,15 @@ class TestHistoryCheckedOnce:
         monkeypatch.setattr(tape_module, "require_history", counted)
         correlation_report(pair_windows(TAPE, WindowSpec(5, 4), 1, 2, 1))
         assert calls == [1, 2]
+        window = _window()
+        calls.clear()
+        assert self_pair(window, 2).window1 is window and calls == [2]
+        calls.clear()
+        self_pair(window)
+        assert calls == [1]
+        calls.clear()
+        weighting_contrast(TAPE, WindowSpec(5, 4), LagSpec(2))
+        assert calls == [2]
 
     def test_a_lag_other_than_the_windows_own_is_checked(self):
         with pytest.raises(ValueError, match="^lag_l must be >= 1, got 0$"):

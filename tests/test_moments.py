@@ -27,10 +27,11 @@ from vawar.moments import (
     return_series,
     return_volatility,
 )
-from exact import FAMILIES as EXACT_FAMILIES, SIGMAS as EXACT_SIGMAS, exact_crosses, \
-    exact_moments, exact_sigmas, ulps
+from exact import FAMILIES as EXACT_FAMILIES, SIGMAS as EXACT_SIGMAS, exact_correlations, \
+    exact_crosses, exact_moments, exact_sigmas, ulps
 from oracle import oracle
-from vawar.correlations import pair_windows, paired_expectation
+from vawar.correlations import (pair_windows, paired_expectation, return_autocorr,
+                                return_price_corr, return_volume_corr)
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
@@ -428,7 +429,10 @@ class TestMomentReports:
         with pytest.warns(OrderExceedsWindow):
             moments.moment_blocks(tape_a, WindowSpec(1, 3), 1, 4)
 
-    @pytest.mark.parametrize("sweep", [moment_reports, moments.moment_blocks])
+    @pytest.mark.parametrize("sweep", [
+        moment_reports, moments.moment_blocks,
+        pytest.param(lambda tape, spec, lag, order, stride: moment_report(
+            resolve(tape, spec, LagSpec(lag)), lag, order), id="moment_report")])
     def test_order_warnings_name_the_caller(self, tape_a, sweep):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -559,3 +563,41 @@ def test_cross_expectations_are_as_near_exact_as_measured(name):
         for (kind, n, m), x in exact.items():
             error = max(error, ulps(paired_expectation(kind, pair, (n, m)), x, 0.0))
     assert error <= MAX_CROSS_ULPS[name], error
+
+
+# Distance from exact of every form of corr_r, corr_rU and corr_rp (at the
+# degrees above) on the same pairs, in ulps of the exact value or of the
+# product E[x] E[y] the correlation subtracts, whichever is larger.  The
+# largest errors today, by form in the order of CORR_FORMS; a new path
+# must be no farther from exact.  On the whale tape the value form of
+# corr_r and the closed form of corr_rp cancel intermediates far larger
+# than the result, so they keep few or no correct digits.
+CORR_FORMS = {"corr_r": ("definitional", "value_form", "price_form"),
+              "corr_rU": ("definitional", "closed_form", "closed_form_prices"),
+              "corr_rp": ("definitional", "closed_form")}
+MAX_CORR_ULPS = {
+    "walk": {"corr_r": (2.44, 2.13, 1.52), "corr_rU": (1.65, 1.27, 1.27),
+             "corr_rp": (4.05, 6.74)},
+    "whale": {"corr_r": (2.67, 3.15e6, 4.39), "corr_rU": (3.08, 2.08, 1.39),
+              "corr_rp": (5.30, 9.42e14)},
+    "decades": {"corr_r": (2.24, 3.24, 4.24), "corr_rU": (3.98, 3.98, 3.98),
+                "corr_rp": (6.51, 48.5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAX_CORR_ULPS))
+def test_correlation_forms_are_as_near_exact_as_measured(name):
+    tape = generate(EXACT_TAPES[name])
+    errors = {stat: [0.0] * len(forms) for stat, forms in CORR_FORMS.items()}
+    for start, count, lag1, lag2, j in EXACT_PAIRS:
+        pair = pair_windows(tape, WindowSpec(start, count), lag1, lag2, j)
+        exact = exact_correlations(tape, count, (start, lag1), (start - j, lag2),
+                                   EXACT_DEGREES)
+        got = {("corr_r", 1, 1): return_autocorr(pair), ("corr_rU", 1, 1): return_volume_corr(pair),
+               **{("corr_rp", n, m): return_price_corr(pair, n, m) for n, m in EXACT_DEGREES}}
+        for (stat, n, m), (x, product) in exact.items():
+            for k, form in enumerate(CORR_FORMS[stat]):
+                error = ulps(getattr(got[stat, n, m], form), x, abs(float(product)))
+                errors[stat][k] = max(errors[stat][k], error)
+    for stat, bounds in MAX_CORR_ULPS[name].items():
+        assert all(e <= b for e, b in zip(errors[stat], bounds)), (stat, errors[stat])
