@@ -66,7 +66,7 @@ X_POINTS = 2**14
 #: Default number of density grid points (odd: the center is on the grid).
 R_POINTS = 2001
 
-#: Default density grid half-width in natural width units.
+#: Density grid half-width in natural width units.
 R_HALF_WIDTHS = 10.0
 
 _MAX_DOUBLINGS = 60
@@ -282,9 +282,8 @@ class GridSpec:
                            integral("grid points", self.points, 9, InvalidDensityParameter))
 
     @classmethod
-    def for_approx(cls, approx: CharFnApprox, half_widths=R_HALF_WIDTHS,
-                   points=R_POINTS):
-        """Grid centered on a_1 spanning ``half_widths`` natural widths.
+    def for_approx(cls, approx: CharFnApprox, points=R_POINTS):
+        """Grid centered on a_1 spanning ``R_HALF_WIDTHS`` natural widths.
 
         With damping on, the inverse transform of exp(-b x^(2q)) rings
         with tails decaying only like exp(-c r^(2q/(2q-1))), so the
@@ -292,7 +291,7 @@ class GridSpec:
         truncated tail mass (and its moment contributions) negligible.
         """
         center = approx.coefficients[0]
-        half = half_widths * natural_width(
+        half = R_HALF_WIDTHS * natural_width(
             approx.coefficients, approx.damping, approx.damping_exponent
         )
         if approx.damping > 0:

@@ -215,12 +215,11 @@ def _cmd_validate(args):
 
 
 def _cmd_stats(args):
-    from .moments import DEFAULT_ORDER_CAP, MomentReport, moment_blocks
+    from .moments import MomentReport, moment_blocks
     from .tape import WindowSpec
 
-    order_cap = DEFAULT_ORDER_CAP if args.order_cap is None else args.order_cap
     rows = moment_blocks(_load_tape(args), WindowSpec(args.start, args.window), args.lag,
-                         args.order, args.stride, order_cap)
+                         args.order, args.stride)
     _emit(args, "stats", "reports", MomentReport.json_fields(args.order), rows)
     return 0
 
@@ -344,8 +343,6 @@ def build_parser():
                    help="sweep window start by this stride (0: single window)")
     p.add_argument("--order", type=_POSITIVE, default=2, metavar="M",
                    help="highest moment order (default 2)")
-    p.add_argument("--order-cap", type=_POSITIVE, default=None,
-                   help="warn when an order exceeds this cap (default 8)")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_stats)
 

@@ -43,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import MismatchedWindows
-from .moments import DEFAULT_ORDER_CAP, _quiet, _Series, _sigmas, check_order
+from .moments import _quiet, _Series, _sigmas, check_order
 from .tape import LagSpec, ResolvedWindow, TradeTape, WindowSpec, integral, resolve
 
 VALUE_VALUE = "value_value"
@@ -126,22 +126,24 @@ def pair_windows(
     window1 starts at window.start with return lag lag1; window2 starts
     shift_j ticks earlier with return lag lag2 (defaults to lag1).
     """
-    w1 = resolve(tape, window, LagSpec(lag_l=lag1))
-    j = integral("shift_j", shift_j, -math.inf)  # PairedWindows rejects j < 0
-    w2 = resolve(tape, WindowSpec(window.start - j, window.count),
-                 LagSpec(lag_l=lag1 if lag2 is None else lag2))
-    return PairedWindows(window1=w1, window2=w2)
+    return _twin(resolve(tape, window, LagSpec(lag_l=lag1)), lag2, shift_j)
 
 
 def self_pair(window: ResolvedWindow, lag2=None) -> PairedWindows:
     """Pair a window with itself (lambda = 0), optionally with a second lag."""
-    spec = WindowSpec(window.start, window.count)
-    lags = LagSpec(lag_l=window.lag_l if lag2 is None else lag2)
-    return PairedWindows(window1=window, window2=resolve(window.tape, spec, lags))
+    return _twin(window, lag2)
 
 
-def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
-                       order_cap=DEFAULT_ORDER_CAP):
+def _twin(w1: ResolvedWindow, lag2=None, shift_j=0) -> PairedWindows:
+    # w1 paired with its twin shift_j ticks earlier at return lag lag2 (w1's
+    # own by default), resolving the twin alone
+    j = integral("shift_j", shift_j, -math.inf)  # PairedWindows rejects j < 0
+    spec = WindowSpec(w1.start - j, w1.count)
+    lags = LagSpec(lag_l=w1.lag_l if lag2 is None else lag2)
+    return PairedWindows(window1=w1, window2=resolve(w1.tape, spec, lags))
+
+
+def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1)):
     """Cross expectation of two window series raised to (n, m).
 
     Frequency-based kinds return (1/N) sum a_i^n b_{i,2}^m; the
@@ -153,8 +155,8 @@ def paired_expectation(kind, pair: PairedWindows, degrees=(1, 1),
     if kind not in FREQUENCY_KINDS + MARKET_KINDS:
         raise ValueError(f"unknown paired-expectation kind {kind!r}")
     n, m = degrees
-    n = check_order(n, count=pair.count, order_cap=order_cap)
-    m = check_order(m, count=pair.count, order_cap=order_cap)
+    n = check_order(n, count=pair.count)
+    m = check_order(m, count=pair.count)
     x1, x2 = pair.units
     return x2.cross(kind, x1, n, m).item()
 
@@ -305,8 +307,7 @@ def _price_corr(x1: _Series, x2: _Series, n, m):
                   (corr_c - r_n * p_m * corr_cau) / cau)
 
 
-def return_price_corr(pair: PairedWindows, n=1, m=1,
-                      order_cap=DEFAULT_ORDER_CAP) -> ReturnPriceCorr:
+def return_price_corr(pair: PairedWindows, n=1, m=1) -> ReturnPriceCorr:
     """corr_rp(t,tau;n | t2;m) = E[r^n p2^m] - r(t,tau;n) p(t2;m).
 
     E[r^n p2^m] is weighted by C_a^n U2^m and equals the ratio of the
@@ -314,8 +315,8 @@ def return_price_corr(pair: PairedWindows, n=1, m=1,
     form rewrites the correlation through corr_C and corr_CaU.  Each order
     condition of n and m warns once.
     """
-    n = check_order(n, count=pair.count, order_cap=order_cap)
-    m = check_order(m, count=pair.count, order_cap=order_cap)
+    n = check_order(n, count=pair.count)
+    m = check_order(m, count=pair.count)
     return _price_corr(*pair.units, n, m)[0]
 
 
@@ -330,9 +331,9 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
     results per shift, each equal to that estimator on
     ``pair_windows(tape, window, lag1, lag2, j)``.  Every shift is checked
     before this returns: it raises what ``pair_windows`` raises at the
-    first infeasible j.  Window1's series are cached once; window2's are
-    computed as the iterator is consumed, in blocks of about
-    ``moments.BLOCK_ELEMENTS`` ticks per field, so only one block's
+    first infeasible j.  Window1 is resolved and its series are cached
+    once; window2's are computed as the iterator is consumed, in blocks of
+    about ``moments.BLOCK_ELEMENTS`` ticks per field, so only one block's
     results, and the series of that block and of the next, are held at a
     time.
     """
@@ -341,12 +342,11 @@ def pair_sweep(tape: TradeTape, window: WindowSpec, lag1, lag2, max_shift, stats
         raise ValueError(f"unknown sweep statistics {sorted(unknown)}")
     # Shift 0 checks both lags and window2's size; window2 then fits at every
     # shift until it runs out of history, at j = window.start - lag2 + 1 (a
-    # negative max_shift fails as pair_windows fails there); the last pair
-    # holds max_shift as an int.
+    # negative max_shift fails as pair_windows fails there); the last pair,
+    # window1 with its twin alone resolved, holds max_shift as an int.
     first = pair_windows(tape, window, lag1, lag2)
     w1, lag2 = first.window1, first.window2.lag_l
-    max_shift = pair_windows(tape, window, lag1, lag2,
-                             min(max_shift, window.start - lag2 + 1)).shift_j
+    max_shift = _twin(w1, lag2, min(max_shift, window.start - lag2 + 1)).shift_j
     n, m = degrees
     if CORR_RP in stats:
         n = check_order(n, count=window.count)

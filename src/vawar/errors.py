@@ -81,7 +81,7 @@ class InvalidConfig(VawarError, ValueError):
 
 
 class OrderTooLarge(UserWarning):
-    """Requested moment order exceeds the configured cap."""
+    """Requested moment order exceeds the cap of 8."""
 
 
 class OrderExceedsWindow(UserWarning):

@@ -59,8 +59,9 @@ from .errors import EmptySeries, NonFinite, OrderExceedsWindow, OrderTooLarge
 from .reportio import _CHUNK, columns, pairs
 from .tape import LagSpec, ResolvedWindow, WindowSpec, integral, require_history, resolve
 
-#: Default cap on moment orders; higher orders warn but still compute.
-DEFAULT_ORDER_CAP = 8
+#: Cap on moment orders: higher orders warn (``OrderTooLarge``, which a
+#: warning filter can silence) but still compute.
+ORDER_CAP = 8
 
 #: Ticks per field in one block of windows that ``_Series.blocks`` yields.
 BLOCK_ELEMENTS = 2**14
@@ -73,14 +74,14 @@ CONVENTIONAL = "conventional"
 LOG = "log"
 
 
-def check_order(n, count=None, order_cap=DEFAULT_ORDER_CAP, stacklevel=3):
+def check_order(n, count=None, stacklevel=3):
     """A moment order n >= 1 as an int; warn above the cap or window size.
     The warnings name the frame ``stacklevel`` up (3: the caller of the
     function that checks)."""
     n = integral("moment order", n, 1)
-    if n > order_cap:
+    if n > ORDER_CAP:
         warnings.warn(
-            f"moment order {n} exceeds cap {order_cap}; result is computed anyway",
+            f"moment order {n} exceeds cap {ORDER_CAP}; result is computed anyway",
             OrderTooLarge,
             stacklevel=stacklevel,
         )
@@ -94,14 +95,14 @@ def check_order(n, count=None, order_cap=DEFAULT_ORDER_CAP, stacklevel=3):
     return n
 
 
-def freq_moment(xs, n, order_cap=DEFAULT_ORDER_CAP):
+def freq_moment(xs, n):
     """Frequency-based n-th moment (1/N) sum x_i^n of a series."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise EmptySeries("cannot take a moment of an empty series")
     if not np.isfinite(xs).all():
         raise NonFinite("series contains non-finite entries")
-    n = check_order(n, count=xs.size, order_cap=order_cap)
+    n = check_order(n, count=xs.size)
     scale = float(np.mean(np.abs(xs)))  # |x|: return series may be signed
     if scale == 0.0:
         return 0.0
@@ -303,13 +304,13 @@ class _Series:
                          for n in range(1, top + 1)]).transpose(2, 1, 0)
 
 
-def price_moment(window: ResolvedWindow, n, order_cap=DEFAULT_ORDER_CAP):
+def price_moment(window: ResolvedWindow, n):
     """Market-based n-th price moment sum p^n U^n / sum U^n (VWAP at n=1)."""
-    n = check_order(n, count=window.count, order_cap=order_cap)
+    n = check_order(n, count=window.count)
     return _Series.of(window).price_moment(n).item()
 
 
-def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP):
+def adjusted_moments(window: ResolvedWindow, lag_l, n):
     """Adjusted-value and adjusted-price n-th moments.
 
     Returns (C_a(t,tau;n), p_a(t,tau;n)) where
@@ -319,7 +320,7 @@ def adjusted_moments(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_C
 
     and C_a(t,tau;n) = p_a(t,tau;n) U(t;n) holds identically.
     """
-    n = check_order(n, count=window.count, order_cap=order_cap)
+    n = check_order(n, count=window.count)
     return tuple(_Series.of(window, lag_l).adjusted_moments(n)[:, 0].tolist())
 
 
@@ -340,12 +341,12 @@ def return_series(window: ResolvedWindow, lag_l, form=RATIO):
     raise ValueError(f"unknown return form {form!r}")
 
 
-def return_moment(window: ResolvedWindow, lag_l, n, order_cap=DEFAULT_ORDER_CAP):
+def return_moment(window: ResolvedWindow, lag_l, n):
     """Market-based n-th return moment, weighted by adjusted values.
 
     r(t,tau;n) = sum r_i^n C_a_i^n / sum C_a_i^n; n = 1 is VaWAR.
     """
-    n = check_order(n, count=window.count, order_cap=order_cap)
+    n = check_order(n, count=window.count)
     return _Series.of(window, lag_l).return_moment(n).item()
 
 
@@ -479,13 +480,13 @@ class MomentReport:
                 self.sigma_r2)
 
 
-def _sweep(tape, window: WindowSpec, lag_l, order_max, stride, order_cap):
+def _sweep(tape, window: WindowSpec, lag_l, order_max, stride):
     # The checks of a stats sweep, then an iterator of its blocks of rows.
     # Its order warnings name the caller of its caller.
     stride = integral("stride", stride, 0)
     lag_l = resolve(tape, window, LagSpec(lag_l=lag_l)).lag_l
     count, first = window.count, window.start
-    order_max = check_order(order_max, count=count, order_cap=order_cap, stacklevel=4)
+    order_max = check_order(order_max, count=count, stacklevel=4)
     # one step past the end when stride is 0: the first window only
     starts = np.arange(first, len(tape) - count + 1, stride or len(tape))
     return _row_blocks(tape, starts, count, lag_l, order_max)
@@ -518,8 +519,7 @@ def _row_blocks(tape, starts, count, lag_l, order_max):
         yield rows
 
 
-def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
-                  order_cap=DEFAULT_ORDER_CAP):
+def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0):
     """The windows of :func:`moment_reports` as an iterator of float64
     blocks of rows, one ``csv_row`` per window: the header cells (whole
     numbers), each moment family's orders 1..order_max, then the six
@@ -531,23 +531,20 @@ def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
     :func:`vawar.tape.resolve` raises for the first window, and warns of
     an order above the cap or the window size.
     """
-    return _sweep(tape, window, lag_l, order_max, stride, order_cap)
+    return _sweep(tape, window, lag_l, order_max, stride)
 
 
-def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0,
-                   order_cap=DEFAULT_ORDER_CAP):
+def moment_reports(tape, window: WindowSpec, lag_l, order_max=2, stride=0):
     """Reports of the window and of every later window ``stride`` ticks on
     that fits in the tape (the window alone when ``stride`` is 0): the rows
     of :func:`moment_blocks`."""
-    blocks = _sweep(tape, window, lag_l, order_max, stride, order_cap)
+    blocks = _sweep(tape, window, lag_l, order_max, stride)
     return [MomentReport.from_row(row) for rows in blocks for row in rows.tolist()]
 
 
-def moment_report(
-    window: ResolvedWindow, lag_l, order_max=2, order_cap=DEFAULT_ORDER_CAP
-) -> MomentReport:
+def moment_report(window: ResolvedWindow, lag_l, order_max=2) -> MomentReport:
     """Compute every order-1..order_max statistic of the window."""
     lag_l = require_history(window, lag_l)
-    order_max = check_order(order_max, count=window.count, order_cap=order_cap)
+    order_max = check_order(order_max, count=window.count)
     [rows] = _row_blocks(window.tape, np.array([window.start]), window.count, lag_l, order_max)
     return MomentReport.from_row(rows[0].tolist())

@@ -38,7 +38,7 @@ Cell rules, the same in every report:
   written as is in CSV;
 - empty lists and dicts are written ``[]`` and ``{}``.
 
-JSON is indented by ``indent`` spaces per level, one value per line; a
+JSON is indented by two spaces per level, one value per line; a
 :class:`Records` is written as a list of objects without building a dict
 per row.
 """
@@ -57,6 +57,9 @@ SCHEMA_VERSION = 1
 
 #: Format of every float written (17 significant digits round-trip binary64).
 FLOAT_FMT = "%.17g"
+
+#: One level of JSON indentation.
+_INDENT = "  "
 
 
 class Records:
@@ -135,7 +138,7 @@ _SLOTS = {"f": FLOAT_FMT, "d": "%d", "c": "%s"}
 
 
 @lru_cache(maxsize=256)
-def _template(style, fields, indent, level, shape):
+def _template(style, fields, level, shape):
     """The ``%`` template of a row of ``shape`` (its :class:`_RowType`, the
     text of its "v" cells and whether each float is finite) in ``style``
     ("csv", or a JSON "value", "list", "object" or list-item "record"; an
@@ -160,8 +163,8 @@ def _template(style, fields, indent, level, shape):
         return ",".join(cells) + "\n", slots
     if style == "value":
         return cells[0], slots
-    pad = " " * (indent * level)
-    inner = pad + " " * indent
+    pad = _INDENT * level
+    inner = pad + _INDENT
     if fields is None:  # a list
         return "[\n" + ",\n".join(inner + c for c in cells) + "\n" + pad + "]", slots
     cells, entries = iter(cells), []
@@ -171,7 +174,7 @@ def _template(style, fields, indent, level, shape):
         elif width == 0:
             value = "[]"
         else:
-            items = ",\n".join(inner + " " * indent + next(cells) for _ in range(width))
+            items = ",\n".join(inner + _INDENT + next(cells) for _ in range(width))
             value = "[\n" + items + "\n" + inner + "]"
         entries.append(inner + key.replace("%", "%%") + ": " + value)
     text = "{\n" + ",\n".join(entries) + "\n" + pad + "}" if entries else "{}"
@@ -182,12 +185,12 @@ def _template(style, fields, indent, level, shape):
 _END = object()
 
 
-def _rows(rows, style, fields=None, indent=0, level=0):
+def _rows(rows, style, fields=None, level=0):
     """Yield the text of ``rows`` (sequences of cells, a 2-D float array,
     or an iterable of 2-D float arrays), one run of at most ``_CHUNK``
     rows at a time."""
     if isinstance(rows, np.ndarray):
-        yield from _float_rows((rows,), style, fields, indent, level)
+        yield from _float_rows((rows,), style, fields, level)
         return
     rows = iter(rows)
     first = next(rows, _END)
@@ -195,31 +198,31 @@ def _rows(rows, style, fields=None, indent=0, level=0):
         return
     rows = chain((first,), rows)
     if isinstance(first, np.ndarray) and first.ndim == 2:
-        yield from _float_rows(rows, style, fields, indent, level)
+        yield from _float_rows(rows, style, fields, level)
     else:
-        yield from _cell_rows(rows, style, fields, indent, level)
+        yield from _cell_rows(rows, style, fields, level)
 
 
-def _float_rows(blocks, style, fields, indent, level):
+def _float_rows(blocks, style, fields, level):
     # _rows of 2-D float arrays, each read _CHUNK rows at a time
     json_out = style != "csv"
     for block in blocks:
         width = block.shape[1]
         shape = (_row_type((float,) * width, json_out), (), (True,) * width)
-        template, _ = _template(style, fields, indent, level, shape)
+        template, _ = _template(style, fields, level, shape)
         for lo in range(0, len(block), _CHUNK):
             chunk = block[lo:lo + _CHUNK]
             if np.isfinite(chunk).all():
                 yield (template * len(chunk)) % tuple(chunk.ravel().tolist())
             else:
-                yield from _cell_rows(chunk.tolist(), style, fields, indent, level)
+                yield from _cell_rows(chunk.tolist(), style, fields, level)
 
 
-def _cell_rows(rows, style, fields, indent, level):
+def _cell_rows(rows, style, fields, level):
     # _rows of sequences of cells
     json_out = style != "csv"
     render = _json_value if json_out else _csv_value
-    write = partial(_json, indent=indent, level=level + 1) if json_out else str
+    write = partial(_json, level=level + 1) if json_out else str
     types = shape = None
     # the (template, slots) of each shape in the run, which skips the
     # rendering and _template's key (it hashes the fields) for alternating
@@ -241,8 +244,7 @@ def _cell_rows(rows, style, fields, indent, level):
             shape = key
             if (entry := shapes.get(key)) is None:
                 texts = tuple(map(render, key[1]))
-                entry = shapes[key] = _template(style, fields, indent, level,
-                                                (row_type, texts, key[2]))
+                entry = shapes[key] = _template(style, fields, level, (row_type, texts, key[2]))
             template, slots = entry
         run.append(template)
         cells.extend(compress(row, slots) if slots else row)
@@ -257,28 +259,28 @@ def _key(key):
     return json.dumps(str(key))
 
 
-def _json(obj, indent, level):
+def _json(obj, level):
     """JSON text of ``obj``, its nested lines indented from ``level``."""
     if isinstance(obj, Records):
         fields = tuple((_key(k), width) for k, width in obj.fields)
-        pieces = list(_rows(obj.rows, "record", fields, indent, level + 1))
+        pieces = list(_rows(obj.rows, "record", fields, level + 1))
         if not pieces:
             return "[]"
         pieces[-1] = pieces[-1][:-2]  # the last object takes no ",\n"
-        return "".join(["[\n", *pieces, "\n", " " * (indent * level), "]"])
+        return "".join(["[\n", *pieces, "\n", _INDENT * level, "]"])
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         fields = tuple((_key(k), None) for k in obj)
-        return "".join(_rows([tuple(obj.values())], "object", fields, indent, level))
+        return "".join(_rows([tuple(obj.values())], "object", fields, level))
     if isinstance(obj, (list, tuple)):
-        return "".join(_rows([obj], "list", None, indent, level)) if obj else "[]"
+        return "".join(_rows([obj], "list", None, level)) if obj else "[]"
     return "".join(_rows([(obj,)], "value"))
 
 
-def dumps_json(obj, indent=2) -> str:
+def dumps_json(obj) -> str:
     """Serialize to JSON with fixed float formatting and key order."""
-    return _json(obj, indent, 0) + "\n"
+    return _json(obj, 0) + "\n"
 
 
 def write_csv_rows(stream, header, rows):

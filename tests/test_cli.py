@@ -172,8 +172,6 @@ BAD_INTEGERS = [
     ("stats", "--stride", "-1"),  # looped forever before parse-time checks
     ("stats", "--stride", "x"),
     ("stats", "--order", "0"),
-    ("stats", "--order-cap", "0"),  # a cap below 1 warned on every order
-    ("stats", "--order-cap", "-3"),
     ("stats", "--lag", "0"),
     ("acorr", "--max-shift", "-3"),
     ("acorr", "--lag2", "0"),
@@ -198,6 +196,17 @@ class TestIntegerArguments:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {option}" in err
+
+    @pytest.mark.parametrize("value", ["9", "0", "-3"])
+    def test_order_cap_is_not_an_option(self, capsys, value):
+        # warning filters on OrderTooLarge silence or move the cap
+        argv = ["stats", "tape.csv", "--window", "3", "--start", "1", "--lag", "1",
+                "--order-cap", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: --order-cap {value}"
+                in capsys.readouterr().err)
 
     def test_bounds_are_accepted(self):
         args = build_parser().parse_args(

@@ -21,7 +21,7 @@ import vawar
 from vawar.charfn import R_POINTS
 from vawar.cli import main
 from vawar.errors import OrderTooLarge
-from vawar.moments import DEFAULT_ORDER_CAP
+from vawar.moments import ORDER_CAP
 
 from conftest import FIXTURE_CSV
 
@@ -106,7 +106,7 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, subcommand, extra, mod
 
 
 def test_build_parser_loads_neither_default_module():
-    # the defaults of --order-cap and --grid-points are resolved by the handlers
+    # the default of --grid-points is resolved by the handler
     child = ("import sys; from vawar.cli import build_parser; p = build_parser(); "
              "p.parse_args(['stats', 't.csv', '--window', '3', '--start', '1', '--lag', '1']); "
              "print(sorted(m for m in sys.modules if m in ('numpy', 'vawar.moments', "
@@ -151,27 +151,45 @@ class TestLibraryDefaults:
     def test_parser_leaves_them_to_the_handlers(self):
         from vawar.cli import build_parser
 
-        args = build_parser().parse_args(["stats", "t.csv", *WINDOW])
-        assert args.order_cap is None
         args = build_parser().parse_args(["density", "t.csv", *WINDOW])
         assert args.grid_points is None
 
-    @pytest.mark.parametrize("order,warns", [(DEFAULT_ORDER_CAP, False),
-                                             (DEFAULT_ORDER_CAP + 1, True)])
+    @pytest.mark.parametrize("order,warns", [(ORDER_CAP, False),
+                                             (ORDER_CAP + 1, True)])
     def test_order_cap_is_the_moments_default(self, capsys, fixture_csv, order, warns):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["stats", str(fixture_csv), *WINDOW, "--order", str(order)]) == 0
         capsys.readouterr()
         caps = [str(w.message) for w in caught if issubclass(w.category, OrderTooLarge)]
-        assert caps == ([f"moment order {order} exceeds cap {DEFAULT_ORDER_CAP}; "
+        assert caps == ([f"moment order {order} exceeds cap {ORDER_CAP}; "
                          "result is computed anyway"] if warns else [])
 
     def test_order_cap_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["stats", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())  # unwrapped
-        assert f"warn when an order exceeds this cap (default {DEFAULT_ORDER_CAP})" in help_text
+        # the cap is the moments' constant, moved by warning filters alone
+        assert "cap" not in capsys.readouterr().out
+
+    def test_warning_filters_silence_the_order_cap(self, tmp_path):
+        # An installed vawar is importable only once site-packages is on
+        # sys.path, after Python has read its warning options, so a filter
+        # naming vawar.errors.OrderTooLarge is refused there; one on the
+        # message is not.  The child imports vawar that late too.
+        tape = tmp_path / "tape.csv"
+        tape.write_text("time,price,volume\n" + "".join(
+            f"{t},{2 + t % 3},{1 + t % 5}\n" for t in range(12)), encoding="utf-8")
+        child = ("import sys; sys.path.insert(0, sys.argv.pop(1)); from vawar.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+        argv = [sys.executable, "-c", child, str(Path(vawar.__file__).parents[1]), "stats",
+                str(tape), "--window", "10", "--start", "1", "--lag", "1", "--order", "9"]
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONWARNINGS")}
+        warned = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        env["PYTHONWARNINGS"] = "ignore:moment order 9 exceeds cap"
+        quiet = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert warned.returncode == quiet.returncode == 0
+        assert b"OrderTooLarge" in warned.stderr and quiet.stderr == b""
+        assert quiet.stdout == warned.stdout
 
     def test_grid_points_is_the_charfn_default(self, capsys, fixture_csv, tmp_path):
         out = tmp_path / "density.csv"

@@ -164,6 +164,10 @@ class TestHistoryCheckedOnce:
         calls.clear()
         weighting_contrast(TAPE, WindowSpec(5, 4), LagSpec(2))
         assert calls == [2]
+        calls.clear()
+        # window1, then window2 at shift 0 and at the last shift
+        pair_sweep(TAPE, WindowSpec(9, 4), 1, 2, 3, (CORR_R,), (1, 1))
+        assert calls == [1, 2, 2]
 
     def test_a_lag_other_than_the_windows_own_is_checked(self):
         with pytest.raises(ValueError, match="^lag_l must be >= 1, got 0$"):

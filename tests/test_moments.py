@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from vawar import moments
 from vawar.errors import (
@@ -35,6 +36,7 @@ from vawar.correlations import (pair_windows, paired_expectation, return_autocor
 from vawar.synth import GenConfig, HeavyTailVolume, WalkPrice, WhaleVolume, generate
 from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve
 
+from conftest import budget
 from helpers import assert_close, random_case
 
 REL = 1e-12
@@ -59,7 +61,9 @@ class TestFreqMoment:
             freq_moment([1.0, 2.0, 3.0], 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            freq_moment(list(range(1, 15)), 9, order_cap=12)
+            # a filter on the message moves the cap, here to 12
+            warnings.filterwarnings("ignore", r"moment order (9|1[0-2]) exceeds", OrderTooLarge)
+            freq_moment(list(range(1, 15)), 9)
 
     def test_overflowing_scale_is_inf(self):
         # (1e200)**2 overflows Python's float ** int, which raises
@@ -440,6 +444,20 @@ class TestMomentReports:
         assert [w.category for w in caught] == [OrderTooLarge, OrderExceedsWindow]
         assert {w.filename for w in caught} == {__file__}
 
+    def test_warning_filters_silence_or_move_the_cap(self):
+        window = resolve(generate(HOSTILE["whale"]), WindowSpec(3, 40), LagSpec(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", category=OrderTooLarge)
+            moment_report(window, 3, 9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", r"moment order (9|1[0-2]) exceeds", OrderTooLarge)
+            for order in (9, 12, 13):
+                moment_report(window, 3, order)
+        assert [str(w.message) for w in caught] == [
+            "moment order 13 exceeds cap 8; result is computed anyway"]
+
     def test_default_block_sweep_ends_in_partial_block(self):
         tape = generate(HOSTILE["decades"])
         count = 2
@@ -539,6 +557,113 @@ def test_order_8_is_as_near_exact_as_measured(name):
     moment_bound, sigma_bound = MAX_ULPS[name]
     assert moment_error <= moment_bound and sigma_error <= sigma_bound, \
         (moment_error, sigma_error)
+
+
+# The accuracy contract of moment_report: each moment within MOMENT_ULPS ulps
+# of its exact value, and each sigma within SIGMA_ULPS ulps of the order-2
+# moment it is differenced from, wherever the exact moments are normal
+# floats.  The maxima above are 11.16 and 6.65.
+MOMENT_ULPS, SIGMA_ULPS = 12, 7
+
+
+@st.composite
+def _contract_cases(draw):
+    # ((config, whale, price scale, volume scale), start, count, lag, order):
+    # a walk whose prices may span decades, heavy-tailed volumes with at most
+    # one whale (its tick, log10 of its volume), each series scaled by 2^k
+    count, lag = draw(st.integers(2, 200)), draw(st.integers(1, 9))
+    start = draw(st.integers(lag, lag + 20))
+    config = GenConfig(
+        ticks=start + count, seed=draw(st.integers(0, 2**32 - 1)),
+        price=WalkPrice(start=10.0 ** draw(st.integers(-2, 2)),
+                        log_vol=draw(st.floats(0.001, 0.6))),
+        volume=HeavyTailVolume(base=draw(st.floats(1.0, 100.0)),
+                               shape=draw(st.floats(1.1, 3.0))),
+        coupling=draw(st.floats(0.0, 0.5)))
+    whale = draw(st.none() | st.tuples(st.integers(0, start + count - 1), st.integers(0, 12)))
+    scales = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    return (config, whale, *scales), start, count, lag, draw(st.integers(1, 8))
+
+
+def _contract_tape(config, whale, price_scale, volume_scale):
+    tape = generate(config)
+    volumes = tape.volumes.copy()
+    if whale is not None:
+        volumes[whale[0]] = 10.0 ** whale[1]
+    return TradeTape.from_arrays(np.ldexp(tape.prices, price_scale),
+                                 np.ldexp(volumes, volume_scale))
+
+
+# Cases a search found that break the contract, and by how many ulps.  In
+# 4000 cases drawn as _contract_cases draws them, 1500 of them with a whale,
+# a moment broke it in 11 and a sigma in 171, by up to 14.6 and 19.8 ulps.
+CONTRACT_BREAKERS = {
+    # the return moments at orders 6 and 7, by 15.75 and 13.29
+    "returns": ((GenConfig(ticks=95, seed=1915602938, price=WalkPrice(start=1.0, log_vol=0.473),
+                           volume=HeavyTailVolume(base=24.0, shape=2.82), coupling=0.43),
+                 None, -3, 6), 18, 77, 6, 7),
+    # sigma_pa2 and sigma_p2, by 13.29 and 7.16
+    "sigmas": ((GenConfig(ticks=212, seed=3658016519, price=WalkPrice(start=100.0, log_vol=0.161),
+                          volume=HeavyTailVolume(base=71.0, shape=1.49), coupling=0.1),
+                None, 3, 19), 16, 196, 6, 6),
+    # under a whale of 1e10: sigma_p2, sigma_pa2 and sigma_U2, by 15.67, 9.28
+    # and 7.31
+    "whale": ((GenConfig(ticks=110, seed=782616260, price=WalkPrice(start=1.0, log_vol=0.418),
+                         volume=HeavyTailVolume(base=48.0, shape=1.15), coupling=0.26),
+               (20, 10), -24, 29), 12, 98, 5, 8),
+}
+
+
+def _contract_errors(case):
+    # {statistic: its error in ulps} of each moment and sigma of the case that
+    # breaks the contract, or None where an exact moment is not a normal float
+    recipe, start, count, lag, order = case
+    tape = _contract_tape(*recipe)
+    exact = exact_moments(tape, start, count, lag, max(order, 2))
+    low, high = sys.float_info.min, sys.float_info.max
+    if not all(low <= abs(x) <= high for xs in exact.values() for x in xs):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderExceedsWindow)
+        rep = moment_report(resolve(tape, WindowSpec(start, count), LagSpec(lag)), lag, order)
+    errors = {}
+    for family in EXACT_FAMILIES:
+        for n, (got, x) in enumerate(zip(getattr(rep, family), exact[family]), 1):
+            errors[family, n] = ulps(got, x, 0.0), MOMENT_ULPS
+    for sigma, x in exact_sigmas(exact).items():
+        anchor = abs(float(exact[EXACT_SIGMAS[sigma]][1]))
+        errors[sigma] = ulps(getattr(rep, sigma), x, anchor), SIGMA_ULPS
+    return {k: round(e, 2) for k, (e, bound) in errors.items() if e > bound}
+
+
+# Each breaker is its own strict xfail, so a kernel that mends one is seen.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="today's kernel breaks K here")
+@pytest.mark.parametrize("name", sorted(CONTRACT_BREAKERS))
+def test_found_case_keeps_the_accuracy_contract(name):
+    assert _contract_errors(CONTRACT_BREAKERS[name]) == {}
+
+
+def _exact_tape_examples(test):
+    # EXACT_TAPES x EXACT_WINDOWS at order 8, which keep the contract
+    for name in sorted(EXACT_TAPES):
+        for start, count, lag in EXACT_WINDOWS:
+            test = example(((EXACT_TAPES[name], None, 0, 0), start, count, lag, 8))(test)
+    return test
+
+
+# While CONTRACT_BREAKERS break K, the search finds another breaker in most
+# runs, so it is gated as a non-strict xfail and does not shrink what it
+# finds; any error but a broken bound still fails it.  A kernel that mends the
+# breakers takes the mark off, and the search must then pass.
+@pytest.mark.xfail(strict=False, raises=AssertionError, reason="CONTRACT_BREAKERS break K")
+@settings(max_examples=budget(30), deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_contract_cases())
+@_exact_tape_examples
+def test_moments_keep_the_accuracy_contract(case):
+    errors = _contract_errors(case)
+    assume(errors is not None)
+    assert errors == {}
 
 
 # Distance from exact of paired_expectation, every kind at four degrees, on

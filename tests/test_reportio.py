@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import budget
 from helpers import old_dumps_json, old_write_csv_rows
 from vawar import reportio
 from vawar.moments import MomentReport, moment_reports
@@ -51,18 +52,12 @@ def _documents(leaves):
 DOCUMENTS = _documents(SCALARS)
 
 
-def budget(n):
-    # n examples, or the loaded hypothesis profile's budget where that is
-    # larger (HYPOTHESIS_PROFILE=ci, registered in conftest.py)
-    return max(n, settings.default.max_examples)
-
-
 # Whole outputs are compared as lists of lines: pytest explains a mismatch
 # of two long strings with a quadratic diff, and of two lists at once.
 @settings(max_examples=budget(250), deadline=None)
-@given(DOCUMENTS, st.sampled_from([0, 1, 2, 4]))
-def test_json_matches_recursive_writer(doc, indent):
-    assert dumps_json(doc, indent).splitlines(True) == old_dumps_json(doc, indent).splitlines(True)
+@given(DOCUMENTS)
+def test_json_matches_recursive_writer(doc):
+    assert dumps_json(doc).splitlines(True) == old_dumps_json(doc).splitlines(True)
 
 
 @settings(max_examples=budget(200), deadline=None)
