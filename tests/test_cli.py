@@ -1042,24 +1042,47 @@ class TestStreamedIngest:
         sys.stdin.close()
         assert reports[0] == reports[1] == reports[2]
 
-    def test_lines_break_where_splitlines_breaks(self, tmp_path, monkeypatch):
+    LINE_PIECES = ["a", "1,2", " ", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                   "\x85", "\u2028", "\u2029", "\r\r\n", "\n\r"]
+
+    @staticmethod
+    def _lines_read(text, path, monkeypatch):
+        # the lines _tape_lines yields for text from a file and from standard input
         from vawar.cli import _tape_lines
 
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                                          encoding="utf-8", newline="\n"))
+        read = []
+        for source in (str(path), "-"):
+            args = build_parser().parse_args(["validate", source, "--epsilon", "1"])
+            with _tape_lines(args) as (lines, _, _):
+                read.append(list(lines))
+        return read
+
+    def test_lines_break_where_splitlines_breaks(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)
-        pieces = ["a", "1,2", " ", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
-                  "\x85", "\u2028", "\u2029", "\r\r\n", "\n\r"]
-        path = tmp_path / "lines.txt"
         for _ in range(300):
-            text = "".join(rng.choice(pieces, rng.integers(0, 40)))
-            path.write_bytes(text.encode("utf-8"))
-            args = build_parser().parse_args(["validate", str(path), "--epsilon", "1"])
-            with _tape_lines(args) as (lines, _, _):
-                assert list(lines) == text.splitlines(), repr(text)
-            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
-                                                              encoding="utf-8", newline="\n"))
-            args = build_parser().parse_args(["validate", "-", "--epsilon", "1"])
-            with _tape_lines(args) as (lines, _, _):
-                assert list(lines) == text.splitlines(), repr(text)
+            text = "".join(rng.choice(self.LINE_PIECES, rng.integers(0, 40)))
+            for lines in self._lines_read(text, tmp_path / "lines.txt", monkeypatch):
+                assert lines == text.splitlines(), repr(text)
+
+    def test_lines_of_many_blocks_break_where_splitlines_breaks(self, tmp_path, monkeypatch):
+        # texts of more than two joined blocks of lines after the three read
+        # ahead, one with a "\r\n" ending the last line of each block
+        from vawar.tape import _BLOCK
+
+        rng = np.random.default_rng(19)
+        texts = ["".join(rng.choice(self.LINE_PIECES, rng.integers(10 * _BLOCK, 16 * _BLOCK)))
+                 for _ in range(8)]
+        raw = [f"{i},1,1\n" for i in range(3 * _BLOCK)]
+        for last in (2 + _BLOCK, 2 + 2 * _BLOCK):
+            raw[last] = raw[last].replace("\n", "\r\n")
+        texts.append("".join(raw))
+        for text in texts:
+            assert text.count("\n") > 2 * _BLOCK + 3
+            for lines in self._lines_read(text, tmp_path / "lines.txt", monkeypatch):
+                assert lines == text.splitlines()
 
     def test_reads_ahead_only_to_the_second_data_row(self, monkeypatch):
         from vawar.cli import _tape_lines

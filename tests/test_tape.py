@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vawar.tape
+from vawar.cli import _load_tape, build_parser
 from vawar.errors import (
     EmptyTape,
     InsufficientHistory,
@@ -36,7 +37,7 @@ from vawar.tape import (
     write_csv,
 )
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, budget
 from helpers import old_check_tape, old_ingest
 
 FIELDS = ("times", "prices", "volumes", "values")
@@ -218,7 +219,7 @@ class TestIngest:
         def locate(*args):
             raise AssertionError("a valid tape was walked row by row")
 
-        monkeypatch.setattr(vawar.tape, "_locate_fault", locate)
+        monkeypatch.setattr(vawar.tape, "_walk_rows", locate)
         lines = [f"{i},{2 + i % 7},{10 + i % 3},{(2 + i % 7) * (10 + i % 3)}" for i in range(9000)]
         for at in (8500, 4096, 1, 0):
             lines.insert(at, "\t")
@@ -233,7 +234,8 @@ def test_open_file_peak_is_a_few_times_the_tape(tmp_path):
     # Read from an open file a block of lines at a time, a 50k-tick tape
     # peaks at the column buffers the parsed numbers grow in, never at its
     # text or a list of its lines (about 7 times the tape's arrays when
-    # they were held).
+    # they were held); and so it does read by the CLI, whose blocks of
+    # lines are joined to one string each.
     rng = np.random.default_rng(11)
     n = 50_000
     original = TradeTape.from_arrays(np.exp(np.cumsum(rng.normal(0, 1e-3, n))) * 37.5,
@@ -242,15 +244,16 @@ def test_open_file_peak_is_a_few_times_the_tape(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(original, fh)
     arrays = sum(getattr(original, field).nbytes for field in FIELDS)
-    tracemalloc.start()
-    try:
+
+    def read_open_file():
         with open(path, encoding="utf-8") as fh:
-            tape = ingest(fh, WITH_VALUE, epsilon=0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(tape) == n
-    assert peak < 4 * arrays, (peak, arrays)
+            return ingest(fh, WITH_VALUE, epsilon=0.5)
+
+    args = build_parser().parse_args(["validate", str(path)])
+    for read in (read_open_file, lambda: _load_tape(args)):
+        tape, peak = _traced_peak(read)
+        assert len(tape) == n
+        assert peak < 4 * arrays, (peak, arrays)
 
 
 # A tape of tape_io's size: 200k ticks of walk prices and heavy-tail volumes.
@@ -475,8 +478,12 @@ class TestBlockChecks:
 
 
 # Cells that do not parse, parse to a non-finite number, or parse to what
-# a plain number would only through float's own rules.
-ODD_CELLS = ("abc", "nan", "inf", "-inf", "1_0", "1e400", "", " 3 ", "\t2", "+4")
+# a plain number would only through float's own rules; and cells that a C
+# parser and float() read differently: a comment mark, a quote, Arabic-Indic
+# digits (12.0 to float), a Unicode space, an embedded NUL and an ASCII
+# separator, which numpy strips as white space and float() does not.
+ODD_CELLS = ("abc", "nan", "inf", "-inf", "1_0", "1e400", "", " 3 ", "\t2", "+4",
+             "1#5", '"3"', "\u0661\u0662", "\u20033", "1\x00", "2\x1f")
 
 
 @st.composite
@@ -526,12 +533,56 @@ def _outcome(read, text, value_format, stream):
     return tuple(getattr(tape, field).tobytes() for field in FIELDS)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=budget(400), deadline=None)
 @given(text=tape_texts(), value_format=st.sampled_from((DERIVE_VALUE, WITH_VALUE)),
        stream=st.booleans())
 def test_ingest_matches_row_loop(text, value_format, stream):
     assert (_outcome(ingest, text, value_format, stream)
             == _outcome(old_ingest, text, value_format, stream))
+
+
+@pytest.mark.parametrize("cell, column", [("1_0", 1), ("\u0661\u0662", 2), ("abc", 3)])
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("value_format", [DERIVE_VALUE, WITH_VALUE])
+def test_walked_block_reads_as_row_loop(monkeypatch, cell, column, width, value_format):
+    # A cell that float() reads and the C parse rejects, in the second of
+    # three blocks, sends that block alone to the row walk: the tape's
+    # numbers are the row loop's, or so is the fault.
+    walked = []
+
+    def walk(lines, *args):
+        walked.append(len(lines))
+        return walk_rows(lines, *args)
+
+    walk_rows = vawar.tape._walk_rows
+    monkeypatch.setattr(vawar.tape, "_walk_rows", walk)
+    rows = [[str(i), "2", "10", "20"][:width] for i in range(vawar.tape._BLOCK + 10)]
+    tick = vawar.tape._BLOCK + 3
+    if column < width:
+        rows[tick][column] = cell
+        if width == 4 and column < 3:  # keep the value price * volume
+            rows[tick][3] = repr(float(cell) * (10.0 if column == 1 else 2.0))
+    header = ",".join(vawar.tape._COLUMNS[:width])
+    text = header + "\n" + "\n".join(map(",".join, rows)) + "\n"
+    expected = _outcome(old_ingest, text, value_format, stream=False)
+    assert _outcome(ingest, text, value_format, stream=False) == expected
+    if value_format == WITH_VALUE and width == 3:
+        assert expected[0] is MalformedRow
+    elif column == 3 and value_format == WITH_VALUE:
+        assert expected[:2] == (NonFinite, f"row {tick + 2}: value 'abc' is not a number")
+    else:
+        assert len(expected) == 4  # a tape
+        assert walked == ([10] if column < width else [])
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_separator_by_a_cell_reads_as_float(separator):
+    # numpy strips an ASCII separator from a cell as white space, and
+    # float() rejects the cell; given as lines, none of them breaks a line
+    lines = ["time,price,volume", "0,2,10", f"1,2{separator},10", "2,2,10"]
+    expected = _outcome(old_ingest, lines, DERIVE_VALUE, stream=False)
+    assert expected[:2] == (NonFinite, f"row 3: price {'2' + separator!r} is not a number")
+    assert _outcome(ingest, lines, DERIVE_VALUE, stream=False) == expected
 
 
 # (column, injected value) of each tick fault; None scales the value just
