@@ -25,20 +25,27 @@ report streams there through ``reportio.write_csv_rows``, each run of at
 most 256 rows written as it is formatted: ``stats`` hands the writer the
 kernel's blocks of windows (``moments.moment_blocks``), ``acorr`` and
 ``xcorr`` their rows as each block of shifts is computed, and ``density``
-its grid, so no CSV report is held as a row list or as text.  Every check
-(window, lag, order, stride, every shift) runs before ``--out`` is opened,
-so a report that fails one exits 1 and creates no file; a write that fails
+its grid, so no CSV report is held as a row list or as text.  ``simulate``
+makes its tape a block at a time twice (``synth.tape_blocks``): once
+through the tape's checks, then through the writer, so it holds one block
+of the tape, never the tape.  Every check (window, lag, order, stride,
+every shift, the simulated tape's) runs before ``--out`` is opened, so a
+report that fails one exits 1 and creates no file; a write that fails
 midway, on a full disk say, leaves the rows already written, as one write
 of the whole text could.  A JSON report is built whole by
 ``reportio.dumps_json``, which the benchmark's per-layer timing reads, and
 written once built, so a report that fails while it is built leaves no
 file; JSON ``stats`` builds it from the same kernel blocks as CSV.
+
+A warning that the filters let through is shown on stderr as one line,
+``vawar: warning: <category>: <message>``, without a source path or line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from itertools import chain, islice
 
@@ -305,14 +312,14 @@ def _cmd_density(args):
 
 
 def _cmd_simulate(args):
-    from .synth import GenConfig, generate
-    from .tape import write_csv
+    from .synth import GenConfig, tape_blocks
+    from .tape import _check_blocks, _write_blocks
 
     config = GenConfig.from_json(_read_text(args.config))
-    tape = generate(config)
-    # written a block of rows at a time, never held whole
+    # built twice a block at a time, never held whole: checked, then written
+    _check_blocks(tape_blocks(config), config.epsilon)
     with _output(args.out) as fh:
-        write_csv(tape, fh)
+        _write_blocks(fh, tape_blocks(config))
     return 0
 
 
@@ -407,16 +414,26 @@ def build_parser():
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    # a warning as shown on stderr: one line, without a source path or line
+    return f"vawar: warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "density" and (args.grid_min is None) != (args.grid_max is None):
         parser.error("--grid-min and --grid-max must be given together")
+    # the filters still decide which warnings are shown, and a recorder
+    # (catch_warnings(record=True)) still records them
+    shown, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.fn(args)
     except (VawarError, OSError, UnicodeDecodeError) as exc:
         print(f"vawar {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -15,9 +15,12 @@ Validation
 ----------
 Each invariant has one definition.  :class:`TradeTick` holds the rules of
 one tick (finite fields; price, volume and value > 0; value = price *
-volume within ``VALUE_REL_TOL``).  :class:`TradeTape` finds the first tick
-that breaks any of them with vector masks and lets that tick's
-``TradeTick`` raise, then checks the spacing.  :func:`ingest` only parses.
+volume within ``VALUE_REL_TOL``).  :func:`_check_blocks` finds the first
+tick that breaks any of them with vector masks and lets that tick's
+``TradeTick`` raise, then checks the spacing; it takes a tape as blocks of
+its arrays, so a held :class:`TradeTape` and a tape that ``vawar simulate``
+makes a block at a time are checked by the same code.  :func:`ingest` only
+parses.
 Every count (lag, shift, stride, moment order, window coordinate) obeys
 :func:`integral`: an int, numpy integer or whole float is stored as an
 ``int``, and anything else (1.5, NaN, "2", True) raises naming the
@@ -48,16 +51,17 @@ a number has the same bits whichever read it.
 Memory
 ------
 A command holds a tape's four float64 arrays about once, plus a block of
-working memory.  The tape checks its arrays ``_CHECK_BLOCK`` ticks at a
-time: one pass over the tape with the tick rules, then one for the
-spacing, each block of gaps reaching the first tick of the next block.
-:func:`ingest` appends each parsed block to one growing ``array("d")``
-per column and views those buffers as the tape's arrays; a viewed buffer
-can no longer grow.  The arrays that vawar makes itself (ingest's columns,
-the times and values that ``from_arrays`` derives, ``synth.generate``'s
-series) reach the tape through ``TradeTape._own``, which keeps them
-without a copy; the public constructor and ``from_arrays`` copy the
-caller's arrays.
+working memory; ``vawar simulate`` holds one block of the tape.  The tape
+checks its arrays ``_CHECK_BLOCK`` ticks at a time, in one pass: the tick
+rules of each block, and its gaps from the last time of the block before;
+the first bad gap is raised only once every tick has passed the tick
+rules.  :func:`ingest` appends each parsed block to one growing
+``array("d")`` per column and views those buffers as the tape's arrays; a
+viewed buffer can no longer grow.  The arrays that vawar makes itself
+(ingest's columns, the times and values that ``from_arrays`` derives,
+``synth.generate``'s series) reach the tape through ``TradeTape._own``,
+which keeps them without a copy; the public constructor and
+``from_arrays`` copy the caller's arrays.
 :func:`write_csv` hands the writer one block of rows at a time.  On a
 200k-tick tape (6.4 MB of arrays) ``ingest`` peaks at about 1.15 times the
 arrays and ``write_csv`` at about 0.4 MB beyond them (tracemalloc).
@@ -140,6 +144,44 @@ def _broken_ticks(t, p, u, c):
     return bad
 
 
+def _first_bad_gap(t, first, epsilon):
+    # (i, its length) of the first gap from a tick i to i + 1 that is not
+    # epsilon within SPACING_REL_TOL, of times t of which t[0] is tick
+    # ``first``; None where there is none
+    with np.errstate(all="ignore"):  # epsilon is checked after the tick rules
+        gaps = np.diff(t)
+        at = np.flatnonzero(np.abs(gaps - epsilon) > SPACING_REL_TOL * epsilon)
+    return (first + int(at[0]), float(gaps[at[0]])) if at.size else None
+
+
+def _check_blocks(blocks, epsilon):
+    """Raise the first fault of the tape whose (times, prices, volumes,
+    values) arrays come as ``blocks`` in tape order: what ``TradeTick``
+    raises for the first tick of the tape that breaks a tick rule, else a
+    bad ``epsilon``, else the first gap that is not ``epsilon`` within
+    ``SPACING_REL_TOL``.  It takes each block once, so a tape can be
+    checked a block at a time as it is made; the first bad gap waits for
+    the tick rules of the ticks after it."""
+    gap = None  # the first bad gap: (its first tick, its length)
+    lo, last = 0, None  # the first tick of the block; the time before it
+    for t, p, u, c in blocks:
+        bad = _broken_ticks(t, p, u, c)
+        if bad.any():
+            i = int(np.argmax(bad))
+            TradeTick(lo + i, *(float(x[i]) for x in (t, p, u, c)))  # raises
+        if gap is None and last is not None:  # the gap from the block before
+            gap = _first_bad_gap(np.array([last, t[0]]), lo - 1, epsilon)
+        if gap is None:
+            gap = _first_bad_gap(t, lo, epsilon)
+        lo, last = lo + len(t), t[-1]
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise NonUniformSpacing(f"epsilon must be a positive real, got {epsilon!r}")
+    if gap is not None:
+        i, length = gap
+        raise _fault(NonUniformSpacing, i + 1, f"spacing {length!r} != epsilon {epsilon!r}",
+                     where=f"ticks {i}->{i + 1}")
+
+
 class TradeTape:
     """Immutable uniformly spaced sequence of trades.
 
@@ -147,7 +189,8 @@ class TradeTape:
     :class:`TradeTick`.  Construction copies the arrays given, raises what
     ``TradeTick`` raises for the first tick that breaks a tick rule, then
     checks that consecutive times differ by ``epsilon`` within
-    ``SPACING_REL_TOL``; both passes take ``_CHECK_BLOCK`` ticks at a time.
+    ``SPACING_REL_TOL``, ``_CHECK_BLOCK`` ticks at a time
+    (:func:`_check_blocks`).
     """
 
     __slots__ = ("times", "prices", "volumes", "values", "epsilon")
@@ -174,26 +217,13 @@ class TradeTape:
             raise EmptyTape("tape has no ticks")
         if not (len(p) == len(u) == len(c) == len(t)):
             raise MalformedRow("field arrays have unequal lengths")
-
-        # Each pass takes _CHECK_BLOCK ticks at a time, in tape order, so
-        # the first fault of the pass is the first of the tape.
-        for lo in range(0, len(t), _CHECK_BLOCK):
-            bad = _broken_ticks(*(x[lo:lo + _CHECK_BLOCK] for x in fields))
-            if bad.any():
-                self[lo + int(np.argmax(bad))]  # raises: the mask holds TradeTick's rules
-
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise NonUniformSpacing(f"epsilon must be a positive real, got {epsilon!r}")
-        # a block's gaps end at the first tick of the next block
-        for lo in range(0, len(t) - 1, _CHECK_BLOCK):
-            gaps = np.diff(t[lo:lo + _CHECK_BLOCK + 1])
-            bad = np.flatnonzero(np.abs(gaps - epsilon) > SPACING_REL_TOL * epsilon)
-            if bad.size:
-                i = lo + int(bad[0])
-                raise _fault(NonUniformSpacing, i + 1,
-                             f"spacing {float(gaps[i - lo])!r} != epsilon {epsilon!r}",
-                             where=f"ticks {i}->{i + 1}")
+        _check_blocks(self._blocks(_CHECK_BLOCK), epsilon)
         self.epsilon = float(epsilon)
+
+    def _blocks(self, rows):
+        # the tape's (times, prices, volumes, values), ``rows`` ticks at a time
+        fields = self.times, self.prices, self.volumes, self.values
+        return (tuple(x[lo:lo + rows] for x in fields) for lo in range(0, len(self), rows))
 
     @classmethod
     def from_arrays(cls, prices, volumes, epsilon=1.0, start_time=0.0, values=None):
@@ -201,18 +231,10 @@ class TradeTape:
         derived from ``epsilon`` and values from price * volume unless
         supplied."""
         prices, volumes = (np.array(x, dtype=np.float64) for x in (prices, volumes))
-        if values is not None:
-            values = np.array(values, dtype=np.float64)
-        return cls._derived(prices, volumes, values, epsilon, start_time)
-
-    @classmethod
-    def _derived(cls, prices, volumes, values=None, epsilon=1.0, start_time=0.0):
-        # from_arrays over float64 arrays that the tape keeps as they are
+        values = prices * volumes if values is None else np.array(values, dtype=np.float64)
         times = np.arange(prices.shape[0], dtype=np.float64)
         times *= epsilon
         times += start_time
-        if values is None:
-            values = prices * volumes
         return cls._own(times, prices, volumes, values, epsilon)
 
     def __len__(self):
@@ -345,8 +367,9 @@ DERIVE_VALUE = "derive_value"
 #: block, on a 2-CPU x86-64 machine) and hold more lines at once.
 _BLOCK = 256
 
-#: Rows per block that ``write_csv`` hands the writer; a multiple of the
-#: writer's chunk, so the chunks are those of the whole table.
+#: Rows per block that ``write_csv`` hands the writer, and ticks per block
+#: of a tape that ``synth`` makes; a multiple of the writer's chunk, so the
+#: chunks are those of the whole table.
 _WRITE_ROWS = 16 * _CHUNK
 
 #: The ASCII separators, which numpy's parser strips from a cell as white
@@ -482,11 +505,14 @@ def write_csv(tape: TradeTape, stream, include_value=True):
     """Serialize a tape in the ingest CSV format with 17-significant-digit
     floats (lossless round trip), ``_WRITE_ROWS`` rows at a time: the only
     copy of the tape's numbers is one block of rows."""
+    _write_blocks(stream, tape._blocks(_WRITE_ROWS), include_value)
+
+
+def _write_blocks(stream, blocks, include_value=True):
+    # write_csv of the tape whose (times, prices, volumes, values) come as
+    # blocks, each written before the next is taken
     k = 4 if include_value else 3
-    fields = (tape.times, tape.prices, tape.volumes, tape.values)[:k]
-    blocks = (np.column_stack([x[lo:lo + _WRITE_ROWS] for x in fields])
-              for lo in range(0, len(tape), _WRITE_ROWS))
-    write_csv_rows(stream, _COLUMNS[:k], blocks)
+    write_csv_rows(stream, _COLUMNS[:k], (np.column_stack(block[:k]) for block in blocks))
 
 
 def infer_epsilon(lines):

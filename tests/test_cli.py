@@ -1,13 +1,17 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import vawar
 from vawar import schemas
 from vawar.charfn import fit_charfn, invert_density, write_density_csv
 from vawar.cli import build_parser, main
@@ -865,6 +869,25 @@ class TestSimulate:
         status, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
         assert (status, stdout) == (1, "")
         assert err.splitlines() == [f"vawar simulate: error: {message}"]
+        assert not out.exists()
+
+    def test_overflow_past_the_first_block_is_one_error_line_and_no_file(self, tmp_path):
+        # a value that overflows at tick 150000, far past the first block, is
+        # found by the check before --out is opened, and numpy warns nothing
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({
+            "ticks": 150_001, "seed": 7, "price": {"model": "constant", "level": 100.0},
+            "volume": {"model": "whale", "base": 50.0, "whale_volume": 1e308,
+                       "position": 150_000}}), encoding="utf-8")
+        out = tmp_path / "sim.csv"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(vawar.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-m", "vawar.cli", "simulate", "--config", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "vawar simulate: error: tick 150000: value is not finite\n"
         assert not out.exists()
 
     def test_int_epsilon_round_trips(self, capsys, tmp_path):

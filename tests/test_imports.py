@@ -191,6 +191,35 @@ class TestLibraryDefaults:
         assert b"OrderTooLarge" in warned.stderr and quiet.stderr == b""
         assert quiet.stdout == warned.stdout
 
+    @staticmethod
+    def _stats_stderr(tmp_path, count, python_warnings=None):
+        # the stderr of `vawar stats` at order 9 over a window of count ticks
+        tape = tmp_path / "tape.csv"
+        tape.write_text("time,price,volume\n" + "".join(
+            f"{t},{2 + t % 3},{1 + t % 5}\n" for t in range(12)), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(vawar.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        if python_warnings is not None:
+            env["PYTHONWARNINGS"] = python_warnings
+        done = subprocess.run([sys.executable, "-m", "vawar.cli", "stats", str(tape), "--window",
+                               str(count), "--start", "1", "--lag", "1", "--order", "9"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stderr
+
+    def test_a_shown_warning_is_one_line(self, tmp_path):
+        # no source path and no source line
+        assert self._stats_stderr(tmp_path, 10) == (
+            "vawar: warning: OrderTooLarge: moment order 9 exceeds cap 8; "
+            "result is computed anyway\n")
+
+    def test_one_message_filter_silences_both_order_warnings(self, tmp_path):
+        warned = self._stats_stderr(tmp_path, 5).splitlines()
+        assert [line.split(":")[2] for line in warned] == [" OrderTooLarge",
+                                                           " OrderExceedsWindow"]
+        assert self._stats_stderr(tmp_path, 5, "ignore:moment order") == ""
+
     def test_grid_points_is_the_charfn_default(self, capsys, fixture_csv, tmp_path):
         out = tmp_path / "density.csv"
         assert main(["density", str(fixture_csv), *WINDOW, "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -710,8 +711,11 @@ MAX_CORR_ULPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MAX_CORR_ULPS))
-def test_correlation_forms_are_as_near_exact_as_measured(name):
+@functools.lru_cache(maxsize=None)
+def _corr_errors(name):
+    # {statistic: the largest error of each of its CORR_FORMS} over
+    # EXACT_PAIRS on EXACT_TAPES[name], in ulps of the exact value or of the
+    # product E[x] E[y] the correlation subtracts, whichever is larger
     tape = generate(EXACT_TAPES[name])
     errors = {stat: [0.0] * len(forms) for stat, forms in CORR_FORMS.items()}
     for start, count, lag1, lag2, j in EXACT_PAIRS:
@@ -724,5 +728,30 @@ def test_correlation_forms_are_as_near_exact_as_measured(name):
             for k, form in enumerate(CORR_FORMS[stat]):
                 error = ulps(getattr(got[stat, n, m], form), x, abs(float(product)))
                 errors[stat][k] = max(errors[stat][k], error)
+    return errors
+
+
+@pytest.mark.parametrize("name", sorted(MAX_CORR_ULPS))
+def test_correlation_forms_are_as_near_exact_as_measured(name):
+    errors = _corr_errors(name)
     for stat, bounds in MAX_CORR_ULPS[name].items():
         assert all(e <= b for e, b in zip(errors[stat], bounds)), (stat, errors[stat])
+
+
+# The accuracy contract of the correlation forms: each within CORR_ULPS ulps
+# of the larger of its exact value and the product E[x] E[y] it subtracts,
+# the moments' K.  Three forms break it today (MAX_CORR_ULPS); each is its
+# own strict xfail, so a path that mends one is seen.
+CORR_ULPS = MOMENT_ULPS
+CORR_BREAKERS = {("whale", "corr_r", "value_form"), ("whale", "corr_rp", "closed_form"),
+                 ("decades", "corr_rp", "closed_form")}
+
+
+@pytest.mark.parametrize("name, stat, form", [
+    pytest.param(name, stat, form, marks=[pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="cancels intermediates far above the result")]
+        if (name, stat, form) in CORR_BREAKERS else [])
+    for name in sorted(EXACT_TAPES) for stat, forms in CORR_FORMS.items() for form in forms])
+def test_correlation_forms_keep_the_accuracy_contract(name, stat, form):
+    error = _corr_errors(name)[stat][CORR_FORMS[stat].index(form)]
+    assert error <= CORR_ULPS, error

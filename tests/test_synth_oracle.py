@@ -1,9 +1,15 @@
+import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from vawar import synth
+from vawar.cli import main
 
 from vawar.errors import InvalidConfig
 from vawar.moments import freq_moment, return_moment
@@ -20,8 +26,9 @@ from vawar.synth import (
     weighting_contrast,
     whale_tape,
 )
-from vawar.tape import LagSpec, WindowSpec, resolve
+from vawar.tape import LagSpec, TradeTape, WindowSpec, resolve, write_csv
 
+from conftest import budget
 from helpers import old_generate, random_config
 
 
@@ -145,6 +152,53 @@ class TestGenerate:
         cfg = config(price=WalkPrice(start=np.float32(5.0), log_vol=np.int64(0)),
                      volume=HeavyTailVolume(base=np.int32(3), shape=np.float64(2.0)))
         assert np.all(generate(cfg).prices == 5.0)
+
+
+@st.composite
+def _block_cases(draw):
+    # (config, block size): every price and volume model, with and without
+    # coupling, at k blocks of ticks and one tick either side, with a whale
+    # on a block edge
+    rows = draw(st.sampled_from([1, 7, synth._WRITE_ROWS]))
+    k = draw(st.integers(1, 3 if rows > 7 else 40))
+    n = max(1, k * rows + draw(st.sampled_from([-1, 0, 1])))
+    price = draw(st.sampled_from([
+        ConstantPrice(level=draw(st.floats(0.5, 200.0))),
+        WalkPrice(start=draw(st.floats(0.5, 200.0)), log_vol=draw(st.floats(0.0, 0.1))),
+        CyclePrice(base=draw(st.floats(0.5, 200.0)), log_amplitude=draw(st.floats(-0.5, 0.5)),
+                   period=draw(st.integers(2, 17)))]))
+    edge = min(n - 1, max(0, draw(st.integers(0, k)) * rows - draw(st.sampled_from([0, 1]))))
+    volume = draw(st.sampled_from([
+        ConstantVolume(level=draw(st.floats(0.5, 500.0))),
+        HeavyTailVolume(base=draw(st.floats(0.5, 50.0)), shape=draw(st.floats(1.5, 4.0))),
+        WhaleVolume(base=draw(st.floats(0.5, 50.0)), whale_volume=draw(st.floats(1e3, 1e9)),
+                    position=edge)]))
+    coupling = draw(st.sampled_from([0.0, draw(st.floats(-0.6, 0.6))]))
+    return GenConfig(ticks=n, seed=draw(st.integers(0, 2**32 - 1)), price=price, volume=volume,
+                     coupling=coupling, epsilon=draw(st.sampled_from([1.0, 0.5, 1 / 3]))), rows
+
+
+# Not shrunk: a failing example names its config and block size, and
+# shrinking tapes of up to 12k ticks takes minutes.
+@settings(max_examples=budget(40), deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_block_cases())
+def test_tape_made_in_blocks_is_the_formulas_tape(case):
+    # simulate writes, and generate holds, the tape of the formulas over the
+    # whole tape (helpers.old_generate) whatever the block size
+    config, rows = case
+    prices, volumes = old_generate(config)
+    want = io.StringIO()
+    write_csv(TradeTape.from_arrays(prices, volumes, epsilon=config.epsilon), want)
+    out = io.StringIO()
+    document = io.StringIO(json.dumps(config.to_json_dict()))
+    with mock.patch.object(synth, "_BLOCK", rows), mock.patch("sys.stdin", document), \
+            mock.patch("sys.stdout", out):
+        assert main(["simulate", "--config", "-"]) == 0
+        tape = generate(config)
+    assert out.getvalue() == want.getvalue()
+    assert tape.prices.tobytes() == prices.tobytes()
+    assert tape.volumes.tobytes() == volumes.tobytes()
 
 
 class TestConfigJson:

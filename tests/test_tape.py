@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import subprocess
@@ -352,6 +353,17 @@ class TestHeldOnce:
         gap = _vmhwm("validate", str(big_csv), "--out", str(tmp_path / "v.json")) - _vmhwm()
         assert gap <= 1.5 * _nbytes(big_tape), (gap, _nbytes(big_tape))
 
+    @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+    def test_simulate_peak_rss_does_not_grow_with_the_tape(self, tmp_path):
+        # simulate holds one block of the tape, not the tape: 800k ticks
+        # peak within 1 MB of 200k (the whole-tape build grew 18 MB)
+        peaks = []
+        for ticks in (200_000, 800_000):
+            path = tmp_path / f"{ticks}.json"
+            path.write_text(json.dumps({**BIG_CONFIG, "ticks": ticks}), encoding="utf-8")
+            peaks.append(_vmhwm("simulate", "--config", str(path), "--out", os.devnull))
+        assert peaks[1] - peaks[0] <= 2**20, peaks
+
     def test_write_csv(self, big_tape, tmp_path):
         # the tape is held already: the writer adds one block of rows and text
         with open(tmp_path / "tape.csv", "w", encoding="utf-8", newline="") as fh:
@@ -413,6 +425,22 @@ class TestBlockChecks:
         assert _raised(TradeTape, fields) == expected
         if fault == "gap" and tick == K:  # the gap that spans the blocks
             assert expected[1] == f"ticks {K - 1}->{K}: spacing 0.75 != epsilon 0.5"
+
+    @pytest.mark.parametrize("fault", BLOCK_FAULTS)
+    @pytest.mark.parametrize("rows", [7, 4096, K + 1])
+    def test_streamed_blocks_raise_what_the_held_tape_raises(self, fault, rows):
+        # the check of a tape made a block at a time, at any block size
+        fields = _clean_fields(2 * K + 3)
+        for tick in (K - 1, 2 * K + 2):
+            _inject(fields, fault, tick)
+        def streamed(*fields_and_epsilon):
+            *fields, epsilon = fields_and_epsilon
+            blocks = (tuple(x[lo:lo + rows] for x in fields) for lo in range(0, len(fields[0]), rows))
+            vawar.tape._check_blocks(blocks, epsilon)
+
+        expected = _raised(old_check_tape, fields)
+        assert expected is not None
+        assert _raised(streamed, fields) == expected
 
     def test_later_tick_fault_wins_over_earlier_spacing_fault(self):
         fields = _clean_fields(2 * K + 3)
