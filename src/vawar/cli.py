@@ -16,9 +16,8 @@ A subcommand that reads a tape hands ``tape.ingest`` the lines of the open
 input file (or standard input), which ingest reads a block at a time as it
 parses them; only the header and the first two data rows are read ahead,
 a line at a time, for ``--values auto`` and the inferred spacing.  The rest
-is read ``tape._BLOCK`` lines at a time, each block joined and split by
-``str.splitlines`` as one string, so the lines break exactly where
-``str.splitlines`` breaks the whole text.
+is read by ``tape._lines``, ingest's reader of an open file, so the lines
+break exactly where ``str.splitlines`` breaks the whole text.
 
 Reports go to ``--out``, or standard output for none or ``-``.  Every CSV
 report streams there through ``reportio.write_csv_rows``, each run of at
@@ -47,7 +46,7 @@ import argparse
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import VawarError
 
@@ -127,15 +126,13 @@ def _value_format(args, header):
 def _tape_lines(args):
     """The lines of the input tape as ``ingest`` takes them, its value
     format and its spacing: --epsilon, else inferred from the first rows.
-    The file is read a line at a time up to the second data row, then
-    ``tape._BLOCK`` lines at a time, each block joined and split as one
-    string; it is closed when the block ends."""
-    from .tape import _BLOCK, infer_epsilon
+    The file is read a line at a time up to the second data row, then by
+    ``tape._lines``; it is closed when the block ends."""
+    from .tape import _lines, infer_epsilon
 
     with _input(args.input) as fh:
         # Every line of fh but the last ends at "\n", so the lines of each
-        # line, or of each block of lines joined, are those that
-        # fh.read().splitlines() breaks there.
+        # line are those that fh.read().splitlines() breaks there.
         head, rows = [], 0
         for raw in fh:  # up to the header and the first two data rows
             split = raw.splitlines()
@@ -143,8 +140,7 @@ def _tape_lines(args):
             rows += sum(1 for line in split if line.strip())
             if rows >= 3:
                 break
-        blocks = iter(lambda: "".join(islice(fh, _BLOCK)), "")
-        lines = chain(head, chain.from_iterable(map(str.splitlines, blocks)))
+        lines = chain(head, _lines(fh))
         epsilon = args.epsilon if args.epsilon is not None else infer_epsilon(head)
         yield lines, _value_format(args, head[0] if head else ""), epsilon
 

@@ -38,11 +38,11 @@ cuts every sweep's windows from the tape, one contiguous row each: the
 strided windows of a ``stats`` sweep and the shifted twins of
 ``correlations.pair_sweep``.  ``moment_blocks`` checks a sweep, then
 gives its rows in the report layout as an iterator of float64 blocks of
-whole kernel blocks and at least ``BLOCK_ROWS`` rows, computed as they
-are taken: ``stats`` hands them to the writer in either format, and
-``moment_reports`` reads the same blocks as ``MomentReport``s.  The public
-moment functions, the dispersions and the volatilities are views of a
-block of one.
+whole kernel blocks and at least ``_CHUNK`` rows, the writer's run,
+computed as they are taken: ``stats`` hands them to the writer in either
+format, and ``moment_reports`` reads the same blocks as
+``MomentReport``s.  The public moment functions, the dispersions and the
+volatilities are views of a block of one.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ ORDER_CAP = 8
 
 #: Ticks per field in one block of windows that ``_Series.blocks`` yields.
 BLOCK_ELEMENTS = 2**14
-
-#: Rows at least in one block of ``moment_blocks``: one run of the writer.
-BLOCK_ROWS = _CHUNK
 
 RATIO = "ratio"
 CONVENTIONAL = "conventional"
@@ -495,12 +492,12 @@ def _sweep(tape, window: WindowSpec, lag_l, order_max, stride):
 def _row_blocks(tape, starts, count, lag_l, order_max):
     top = max(order_max, 2)  # the dispersions need order 2
     sigmas = 4 + len(_FAMILIES) * order_max  # the column of the first sigma
-    # A block of rows is whole kernel blocks and at least BLOCK_ROWS rows,
+    # A block of rows is whole kernel blocks and at least _CHUNK rows,
     # so the kernel blocks run back to back and the writer allocates
     # between blocks of rows: between kernel blocks, it made glibc return
     # the heap top and fault it back in for every kernel block.
     windows = max(1, BLOCK_ELEMENTS // count)  # per kernel block
-    step = -(-BLOCK_ROWS // windows) * windows
+    step = -(-_CHUNK // windows) * windows
     for lo in range(0, len(starts), step):
         s = starts[lo:lo + step]
         rows = np.empty((len(s), sigmas + len(_SIGMAS)))
@@ -524,8 +521,8 @@ def moment_blocks(tape, window: WindowSpec, lag_l, order_max=2, stride=0):
     blocks of rows, one ``csv_row`` per window: the header cells (whole
     numbers), each moment family's orders 1..order_max, then the six
     sigmas.  Each block is whole kernel blocks (about ``BLOCK_ELEMENTS``
-    ticks each) and at least ``BLOCK_ROWS`` rows but the last, computed as
-    it is taken, so that no more than a block of rows is held.
+    ticks each) and at least ``_CHUNK`` rows but the last, computed as it
+    is taken, so that no more than a block of rows is held.
 
     Every check runs before this returns: it raises what
     :func:`vawar.tape.resolve` raises for the first window, and warns of

@@ -17,17 +17,18 @@ A nonzero ``coupling`` multiplies each volume by exp(coupling * z_i)
 where z_i is the standardized price shock of the walk (zero for the
 deterministic price models).
 
-:func:`tape_blocks` builds a tape ``_BLOCK`` (4096) ticks at a time, each
-series of a block in one array by in-place ufuncs, in the order of
+:func:`tape_blocks` builds a tape ``tape._TICKS`` (4096) ticks at a time,
+each series of a block in one array by in-place ufuncs, in the order of
 operations of its formula over the whole tape, so each element is the
-formula's whatever the block size.  The walk's running sum carries on from
-block to block (``cumsum`` adds in sequence), and heavy-tail uniforms,
-which follow all the walk's normals in the seed's stream, come from a
-second generator moved past those normals.  :func:`generate` fills the
-tape's four arrays from the blocks: on a 200k-tick walk tape it peaks at
-about 1.15 times the arrays (tracemalloc), the tape's checks included,
-where the whole-tape series took 1.25 times and fresh temporaries for each
-step 3.4 times.  ``vawar simulate`` holds one block at a time.
+formula's whatever the block size.  The walk's running sum carries on
+from block to block (``cumsum`` adds in sequence), and heavy-tail
+uniforms, which follow all the walk's normals in the seed's stream, come
+from a second generator moved past those normals.  :func:`generate`
+fills the tape's four arrays from the blocks: on a 200k-tick walk tape it
+peaks at about 1.05 times the arrays (tracemalloc), the tape's checks
+included, where the whole-tape series took 1.25 times and fresh
+temporaries for each step 3.4 times.  ``vawar simulate`` holds one block
+at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .moments import _quiet, freq_moment, return_moment, return_series
-from .tape import _WRITE_ROWS, LagSpec, TradeTape, WindowSpec, integral, resolve
+from . import tape as _tape
+from .tape import LagSpec, TradeTape, WindowSpec, integral, resolve
 
 
 @dataclass(frozen=True)
@@ -205,23 +207,18 @@ def _validate(config: GenConfig):
         raise InvalidConfig(f"unknown volume model {v!r}")
 
 
-#: Ticks per block of a generated tape: the rows ``tape.write_csv`` hands
-#: the writer at a time.
-_BLOCK = _WRITE_ROWS
-
-
 def tape_blocks(config: GenConfig):
     """The tape of a config, as (times, prices, volumes, values) arrays of
-    ``_BLOCK`` ticks at a time in tape order: :func:`generate` keeps them,
-    and ``vawar simulate`` checks them and writes them without holding the
-    tape.  The config is checked here, before the first block."""
+    ``tape._TICKS`` ticks at a time in tape order: :func:`generate` keeps
+    them, and ``vawar simulate`` checks and writes them without holding
+    the tape.  The config is checked here, before the first block."""
     _validate(config)
-    return _blocks(config, _BLOCK)
+    return _blocks(config)
 
 
-def _blocks(config, rows):
-    # tape_blocks of a checked config, ``rows`` ticks at a time
-    n = config.ticks
+def _blocks(config):
+    # tape_blocks of a checked config
+    n, rows = config.ticks, _tape._TICKS
     rng = uniforms = np.random.default_rng(config.seed)
     if isinstance(config.price, WalkPrice) and isinstance(config.volume, HeavyTailVolume):
         # The uniforms come after all n normals of one stream, so a second

@@ -31,49 +31,52 @@ CSV format
 Header ``time,price,volume`` or ``time,price,volume,value``, decimal point
 ``.``, one tick per row, UTF-8.  Lines end where ``str.splitlines`` ends
 them (``\\n``, ``\\r\\n``, ``\\r`` and the other Unicode line boundaries),
-and a line of only whitespace is skipped but keeps its row number.
+in text and in an open file alike, and a line of only whitespace is
+skipped but keeps its row number.
 Ingestion is strict and names the row of the fault (the header is row 1).
 Faults are reported in this order: the first row that does not parse
 (wrong column count, a cell that is not a finite number), then the first
 tick that breaks a tick rule, then the first bad spacing.
 
-:func:`ingest` takes the lines of a tape ``_BLOCK`` at a time from any
-iterable of lines, such as an open file, so only the tape's arrays grow
-with its length.  ``float`` defines a cell, but a block's data rows are
-parsed by one C call, ``np.loadtxt``, which also checks their column
-count; the numbers it reads are checked for finite values once.  Where
-that parse fails or could read a cell otherwise than ``float``, the
-block's rows are walked with ``float``, which reads the cells the C
-parser rejects (``1_0``, Arabic-Indic digits) or names the first row at
-fault.  Both parsers round with CPython's ``PyOS_string_to_double``, so
-a number has the same bits whichever read it.
+:func:`ingest` takes the lines of a tape ``_CHUNK`` (256) at a time, so
+only the tape's arrays grow with its length.  ``float`` defines a cell,
+but a block's data rows are parsed by one C call, ``np.loadtxt``, which
+also checks their column count; the numbers it reads are checked for
+finite values once.  Where that parse fails or could read a cell
+otherwise than ``float``, the block's rows are walked with ``float``,
+which reads the cells the C parser rejects (``1_0``, Arabic-Indic
+digits) or names the first row at fault.  Both parsers round with
+CPython's ``PyOS_string_to_double``, so a number has the same bits
+whichever read it.
 
 Memory
 ------
 A command holds a tape's four float64 arrays about once, plus a block of
-working memory; ``vawar simulate`` holds one block of the tape.  The tape
-checks its arrays ``_CHECK_BLOCK`` ticks at a time, in one pass: the tick
-rules of each block, and its gaps from the last time of the block before;
-the first bad gap is raised only once every tick has passed the tick
-rules.  :func:`ingest` appends each parsed block to one growing
-``array("d")`` per column and views those buffers as the tape's arrays; a
-viewed buffer can no longer grow.  The arrays that vawar makes itself
-(ingest's columns, the times and values that ``from_arrays`` derives,
-``synth.generate``'s series) reach the tape through ``TradeTape._own``,
-which keeps them without a copy; the public constructor and
-``from_arrays`` copy the caller's arrays.
-:func:`write_csv` hands the writer one block of rows at a time.  On a
-200k-tick tape (6.4 MB of arrays) ``ingest`` peaks at about 1.15 times the
-arrays and ``write_csv`` at about 0.4 MB beyond them (tracemalloc).
+working memory; ``vawar simulate`` holds one block of the tape.  The
+tape's checks, :func:`write_csv` and ``synth`` take ``_TICKS`` (4096)
+ticks at a time.  The checks make one pass, with about 0.1 MB of
+temporaries on any tape (tracemalloc): the tick rules of each block, and
+its gaps from the last time of the block before; the first bad gap is
+raised only once every tick has passed the tick rules.  :func:`ingest`
+appends each parsed block to one growing ``array("d")`` per column and
+views those buffers as the tape's arrays; a viewed buffer can no longer
+grow.  The arrays that vawar makes itself (ingest's columns, the times
+and values that ``from_arrays`` derives, ``synth.generate``'s series)
+reach the tape through ``TradeTape._own``, which keeps them without a
+copy; the public constructor and ``from_arrays`` copy the caller's
+arrays.  On a 200k-tick tape (6.4 MB of arrays) ``ingest`` peaks at about
+1.15 times the arrays and ``write_csv`` at about 0.4 MB beyond them
+(tracemalloc).
 """
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 
 import numpy as np
 
@@ -99,9 +102,9 @@ SPACING_REL_TOL = 1e-6
 #: CSV columns, which are also the TradeTick fields.
 _COLUMNS = ("time", "price", "volume", "value")
 
-#: Ticks per block of a tape's checks: their temporaries are a few arrays
-#: of this length, whatever the tape's.
-_CHECK_BLOCK = 2**15
+#: Ticks per block of the tape's checks, ``write_csv`` and ``synth``; a
+#: multiple of the writer's chunk, so the chunks are the whole table's.
+_TICKS = 16 * _CHUNK
 
 
 def _fault(cls, tick, detail, where=None):
@@ -189,8 +192,7 @@ class TradeTape:
     :class:`TradeTick`.  Construction copies the arrays given, raises what
     ``TradeTick`` raises for the first tick that breaks a tick rule, then
     checks that consecutive times differ by ``epsilon`` within
-    ``SPACING_REL_TOL``, ``_CHECK_BLOCK`` ticks at a time
-    (:func:`_check_blocks`).
+    ``SPACING_REL_TOL``, ``_TICKS`` ticks at a time (:func:`_check_blocks`).
     """
 
     __slots__ = ("times", "prices", "volumes", "values", "epsilon")
@@ -217,13 +219,13 @@ class TradeTape:
             raise EmptyTape("tape has no ticks")
         if not (len(p) == len(u) == len(c) == len(t)):
             raise MalformedRow("field arrays have unequal lengths")
-        _check_blocks(self._blocks(_CHECK_BLOCK), epsilon)
+        _check_blocks(self._blocks(), epsilon)
         self.epsilon = float(epsilon)
 
-    def _blocks(self, rows):
-        # the tape's (times, prices, volumes, values), ``rows`` ticks at a time
+    def _blocks(self):
+        # the tape's (times, prices, volumes, values), _TICKS ticks at a time
         fields = self.times, self.prices, self.volumes, self.values
-        return (tuple(x[lo:lo + rows] for x in fields) for lo in range(0, len(self), rows))
+        return (tuple(x[lo:lo + _TICKS] for x in fields) for lo in range(0, len(self), _TICKS))
 
     @classmethod
     def from_arrays(cls, prices, volumes, epsilon=1.0, start_time=0.0, values=None):
@@ -362,16 +364,6 @@ WITH_VALUE = "with_value"
 DERIVE_VALUE = "derive_value"
 
 
-#: Lines read and parsed per block.  Larger blocks parse no faster (the C
-#: parse takes about 0.4 us a row of four cells at 256, 1024 and 4096 rows a
-#: block, on a 2-CPU x86-64 machine) and hold more lines at once.
-_BLOCK = 256
-
-#: Rows per block that ``write_csv`` hands the writer, and ticks per block
-#: of a tape that ``synth`` makes; a multiple of the writer's chunk, so the
-#: chunks are those of the whole table.
-_WRITE_ROWS = 16 * _CHUNK
-
 #: The ASCII separators, which numpy's parser strips from a cell as white
 #: space and ``float`` does not.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -429,9 +421,19 @@ def _row_of(tick, blanks):
     return row
 
 
+def _lines(fh):
+    """The lines of the rest of an open text file, as ``str.splitlines``
+    breaks its text: ``_CHUNK`` lines of the file at a time, joined and
+    split as one string.  A file opened with ``newline`` None, ``""``,
+    ``"\\n"`` or ``"\\r\\n"`` never ends a line between the ``\\r`` and
+    ``\\n`` of a pair, so the lines of each run end where the text's do."""
+    runs = iter(lambda: "".join(islice(fh, _CHUNK)), "")
+    return chain.from_iterable(map(str.splitlines, runs))
+
+
 def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
-    """Read a trade tape from CSV text, or from an iterable of its lines
-    such as an open file.
+    """Read a trade tape from CSV text, an open text file, or an iterable
+    of its lines already split.
 
     ``value_format`` selects between deriving values as price * volume
     (``derive_value``) and reading a fourth ``value`` column that is
@@ -442,11 +444,12 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     is the first row that does not parse, else the first tick that breaks
     a tick rule, else the first bad spacing.
 
-    Text is split by ``str.splitlines``.  The lines after the header are
-    taken ``_BLOCK`` at a time, and nothing but the parsed numbers and the
-    rows of blank lines outlives its block.  In a block, a line that
-    strips to nothing is skipped, and :func:`_parse_block` reads the rest
-    in one ``np.loadtxt`` call.  Where it cannot vouch for its numbers,
+    Text is split by ``str.splitlines`` and an open file
+    (``io.TextIOBase``) by :func:`_lines`, so a file reads as its text.
+    The lines after the header are taken ``_CHUNK`` at a time, and nothing
+    but the parsed numbers and the rows of blank lines outlives its block.
+    In a block, a line that strips to nothing is skipped, and
+    :func:`_parse_block` reads the rest in one ``np.loadtxt`` call.  Where it cannot vouch for its numbers,
     :func:`_walk_rows` reads the block a cell at a time with ``float``,
     the definition of a cell: it returns the numbers where every row
     parses and raises the first row's fault otherwise.  A derived value's
@@ -456,6 +459,8 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     """
     if value_format not in (WITH_VALUE, DERIVE_VALUE):
         raise ValueError(f"unknown value_format {value_format!r}")
+    if isinstance(source, io.TextIOBase):
+        source = _lines(source)
     lines = iter(source.splitlines() if isinstance(source, str) else source)
     header = next(lines, None)
     if header is None:
@@ -472,8 +477,8 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
     width = len(columns)
     used = 4 if value_format == WITH_VALUE else 3  # a derived value's cell is not read
     fields, blanks = [array("d") for _ in range(used)], []  # each column; the blank rows
-    for first_row in count(2, _BLOCK):
-        block = list(map(str.strip, islice(lines, _BLOCK)))
+    for first_row in count(2, _CHUNK):
+        block = list(map(str.strip, islice(lines, _CHUNK)))
         if not block:
             break
         body = list(filter(None, block))  # the block's data rows
@@ -503,9 +508,9 @@ def ingest(source, value_format=DERIVE_VALUE, epsilon=1.0) -> TradeTape:
 
 def write_csv(tape: TradeTape, stream, include_value=True):
     """Serialize a tape in the ingest CSV format with 17-significant-digit
-    floats (lossless round trip), ``_WRITE_ROWS`` rows at a time: the only
-    copy of the tape's numbers is one block of rows."""
-    _write_blocks(stream, tape._blocks(_WRITE_ROWS), include_value)
+    floats (lossless round trip), ``_TICKS`` rows at a time: the only copy
+    of the tape's numbers is one block of rows."""
+    _write_blocks(stream, tape._blocks(), include_value)
 
 
 def _write_blocks(stream, blocks, include_value=True):

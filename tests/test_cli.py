@@ -1093,17 +1093,17 @@ class TestStreamedIngest:
     def test_lines_of_many_blocks_break_where_splitlines_breaks(self, tmp_path, monkeypatch):
         # texts of more than two joined blocks of lines after the three read
         # ahead, one with a "\r\n" ending the last line of each block
-        from vawar.tape import _BLOCK
+        from vawar.reportio import _CHUNK
 
         rng = np.random.default_rng(19)
-        texts = ["".join(rng.choice(self.LINE_PIECES, rng.integers(10 * _BLOCK, 16 * _BLOCK)))
+        texts = ["".join(rng.choice(self.LINE_PIECES, rng.integers(10 * _CHUNK, 16 * _CHUNK)))
                  for _ in range(8)]
-        raw = [f"{i},1,1\n" for i in range(3 * _BLOCK)]
-        for last in (2 + _BLOCK, 2 + 2 * _BLOCK):
+        raw = [f"{i},1,1\n" for i in range(3 * _CHUNK)]
+        for last in (2 + _CHUNK, 2 + 2 * _CHUNK):
             raw[last] = raw[last].replace("\n", "\r\n")
         texts.append("".join(raw))
         for text in texts:
-            assert text.count("\n") > 2 * _BLOCK + 3
+            assert text.count("\n") > 2 * _CHUNK + 3
             for lines in self._lines_read(text, tmp_path / "lines.txt", monkeypatch):
                 assert lines == text.splitlines()
 

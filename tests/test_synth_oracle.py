@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from vawar import synth
+import vawar.tape
 from vawar.cli import main
 
 from vawar.errors import InvalidConfig
@@ -159,7 +159,7 @@ def _block_cases(draw):
     # (config, block size): every price and volume model, with and without
     # coupling, at k blocks of ticks and one tick either side, with a whale
     # on a block edge
-    rows = draw(st.sampled_from([1, 7, synth._WRITE_ROWS]))
+    rows = draw(st.sampled_from([1, 7, vawar.tape._TICKS]))
     k = draw(st.integers(1, 3 if rows > 7 else 40))
     n = max(1, k * rows + draw(st.sampled_from([-1, 0, 1])))
     price = draw(st.sampled_from([
@@ -192,7 +192,7 @@ def test_tape_made_in_blocks_is_the_formulas_tape(case):
     write_csv(TradeTape.from_arrays(prices, volumes, epsilon=config.epsilon), want)
     out = io.StringIO()
     document = io.StringIO(json.dumps(config.to_json_dict()))
-    with mock.patch.object(synth, "_BLOCK", rows), mock.patch("sys.stdin", document), \
+    with mock.patch.object(vawar.tape, "_TICKS", rows), mock.patch("sys.stdin", document), \
             mock.patch("sys.stdout", out):
         assert main(["simulate", "--config", "-"]) == 0
         tape = generate(config)
